@@ -1,13 +1,12 @@
-// Read-path scaling: MVCC snapshot handles vs the legacy clone history.
+// Read-path scaling: MVCC snapshot handles vs table clones.
 //
-// Two claims are measured. First, snapshot *acquisition* is O(1) in
-// table size on the MVCC path (a shared_ptr copy) while a catalog clone
+// Two things are measured. First, snapshot *acquisition* is O(1) in
+// table size on the MVCC path (a shared_ptr copy) while a table clone
 // is O(table): the acquire cost must stay flat as the table grows 10x.
-// Second, serving a pool of point-lookup readers — the Section 1.1
-// customer-inquiry pattern: look up a handful of keys across views in
-// one atomic read — is dominated by the per-read deep copy on the clone
-// path, so MVCC read throughput must beat it by a wide margin while the
-// same maintenance commits run.
+// Second, the per-read cost of a warehouse serving a pool of
+// point-lookup readers — the Section 1.1 customer-inquiry pattern: look
+// up a handful of keys across views in one atomic read — while
+// maintenance commits run.
 //
 //   bench_read_scaling [--tiny] [--json[=PATH]]
 //
@@ -67,7 +66,7 @@ double TimeMvccAcquire(int64_t rows, int64_t iterations) {
   return ns;
 }
 
-/// Legacy: every snapshot of an N-row catalog is a deep clone.
+/// Clone baseline: every snapshot of an N-row table is a deep copy.
 double TimeCloneAcquire(int64_t rows, int64_t iterations) {
   Table table("V1", ViewSchema());
   for (int64_t i = 0; i < rows; ++i) {
@@ -87,8 +86,7 @@ double TimeCloneAcquire(int64_t rows, int64_t iterations) {
 /// --- Part 2: read throughput under concurrent commits ---
 
 /// Issues `reads` atomic point-lookup reads: each observation checks a
-/// few keys in the snapshot (via the shared version on the MVCC path,
-/// via the served clone on the legacy path) without flattening it.
+/// few keys in the shared version without flattening it.
 class LookupReader : public Process {
  public:
   LookupReader(std::string name, ProcessId warehouse,
@@ -118,11 +116,7 @@ class LookupReader : public Process {
     for (int64_t k = 0; k < 4; ++k) {
       const Tuple probe{(snap->request_id * 13 + k * 31) % key_space_,
                         ((snap->request_id * 13 + k * 31) % key_space_) * 7};
-      if (snap->handle.valid()) {
-        rows_seen += snap->handle.version().Find("V1")->CountOf(probe);
-      } else {
-        rows_seen += snap->snapshots[0].CountOf(probe);
-      }
+      rows_seen += snap->handle.version().Find("V1")->CountOf(probe);
     }
     ++answers;
   }
@@ -175,11 +169,9 @@ struct ThroughputResult {
 };
 
 /// Wall-clock cost per read of a warehouse serving `readers` pooled
-/// readers while `commits` maintenance transactions land, on the MVCC
-/// or the legacy clone path.
-ThroughputResult TimeReadThroughput(bool legacy, int64_t rows,
-                                    int64_t readers, int64_t reads_each,
-                                    int64_t commits) {
+/// readers while `commits` maintenance transactions land.
+ThroughputResult TimeReadThroughput(int64_t rows, int64_t readers,
+                                    int64_t reads_each, int64_t commits) {
   static const IdRegistry* registry = [] {
     auto* r = new IdRegistry();
     r->InternViews({"V1"});
@@ -188,8 +180,7 @@ ThroughputResult TimeReadThroughput(bool legacy, int64_t rows,
 
   SimRuntime runtime(11);
   WarehouseOptions options;
-  options.history_depth = 8;  // the clone ring the legacy path pays for
-  options.legacy_clone_history = legacy;
+  options.max_retained_versions = 8;
   WarehouseProcess warehouse("warehouse", options);
   warehouse.SetRegistry(registry);
   MVC_CHECK(warehouse.CreateView("V1", ViewSchema()).ok());
@@ -263,13 +254,10 @@ int Main(int argc, char** argv) {
   record("snapshot_acquire/clone/rows=" + std::to_string(base_rows * 10),
          clone_iters, clone_large);
 
-  // Read throughput with the same pooled readers and commit stream.
-  ThroughputResult mvcc = TimeReadThroughput(
-      /*legacy=*/false, base_rows, readers, reads_each, commits);
-  ThroughputResult clone = TimeReadThroughput(
-      /*legacy=*/true, base_rows, readers, reads_each, commits);
+  // Read throughput: pooled readers beside a live commit stream.
+  ThroughputResult mvcc =
+      TimeReadThroughput(base_rows, readers, reads_each, commits);
   record("read_throughput/mvcc/hd=8", mvcc.reads, mvcc.ns_per_read);
-  record("read_throughput/clone/hd=8", clone.reads, clone.ns_per_read);
 
   table.Print();
   std::cout << "\nsnapshot acquire, 10x table growth: mvcc "
@@ -277,8 +265,6 @@ int Main(int argc, char** argv) {
             << (mvcc_large / mvcc_small) << "), clone " << clone_small
             << " -> " << clone_large << " ns/op (ratio "
             << (clone_large / clone_small) << ")\n";
-  std::cout << "read throughput at history depth 8: clone/mvcc speedup "
-            << (clone.ns_per_read / mvcc.ns_per_read) << "x\n";
 
   if (!json_path.empty()) {
     bench::WriteBenchJson(json_path, "mvc-bench-read-v1", records);

@@ -98,11 +98,10 @@ int main() {
   (*system)->Run();
 
   std::cout << "Warehouse views after the transfer:\n\n";
-  for (const std::string& name :
-       (*system)->warehouse().views().TableNames()) {
-    std::cout << (*system)->warehouse().views().GetTable(name).value()
-                     ->ToString()
-              << "\n";
+  const SnapshotHandle latest =
+      (*system)->warehouse().store().AcquireSnapshot();
+  for (const TableVersion& view : latest.version().tables) {
+    std::cout << view.Materialize().ToString() << "\n";
   }
 
   std::cout << "Commit log (each line is one atomic warehouse "

@@ -79,10 +79,10 @@ int main() {
   (*system)->Run();
 
   std::cout << "\nFinal warehouse contents:\n";
-  for (const std::string& name :
-       (*system)->warehouse().views().TableNames()) {
-    std::cout << (*system)->warehouse().views().GetTable(name).value()
-                     ->ToString();
+  const SnapshotHandle latest =
+      (*system)->warehouse().store().AcquireSnapshot();
+  for (const TableVersion& view : latest.version().tables) {
+    std::cout << view.Materialize().ToString();
   }
 
   auto checker = (*system)->MakeChecker();

@@ -24,9 +24,10 @@ int main() {
   (*system)->Run();
 
   std::cout << "=== Warehouse views after the run ===\n";
-  for (const std::string& name : (*system)->warehouse().views().TableNames()) {
-    auto table = (*system)->warehouse().views().GetTable(name);
-    std::cout << (*table)->ToString();
+  const mvc::SnapshotHandle latest =
+      (*system)->warehouse().store().AcquireSnapshot();
+  for (const mvc::TableVersion& view : latest.version().tables) {
+    std::cout << view.Materialize().ToString();
   }
 
   std::cout << "\n=== Commit log ===\n";

@@ -110,16 +110,17 @@ int main() {
   MVC_CHECK(system.ok()) << system.status().ToString();
   (*system)->Run();
 
-  const Catalog& views = (*system)->warehouse().views();
-  for (const std::string& name : views.TableNames()) {
-    std::cout << views.GetTable(name).value()->ToString() << "\n";
+  const WarehouseProcess& warehouse = (*system)->warehouse();
+  const SnapshotHandle latest = warehouse.store().AcquireSnapshot();
+  for (const TableVersion& view : latest.version().tables) {
+    std::cout << view.Materialize().ToString() << "\n";
   }
 
   // Dashboard cross-check: both aggregates summarize the same orders.
-  const Table* by_region = *views.GetTable("region_revenue");
-  const Table* by_category = *views.GetTable("category_revenue");
-  int64_t region_total = TotalRevenue(*by_region, 2);
-  int64_t category_total = TotalRevenue(*by_category, 2);
+  int64_t region_total =
+      TotalRevenue(*warehouse.MaterializeView("region_revenue"), 2);
+  int64_t category_total =
+      TotalRevenue(*warehouse.MaterializeView("category_revenue"), 2);
   std::cout << "Cross-check: revenue by region = " << region_total
             << ", by category = " << category_total << " -> "
             << (region_total == category_total ? "CONSISTENT"
@@ -128,18 +129,22 @@ int main() {
 
   // Per-commit cross-check: at *every* warehouse state, the two
   // aggregate totals agree — that is MVC observed through aggregates.
+  // The oracle replays the committed action lists state by state.
+  ConsistencyChecker checker = (*system)->MakeChecker();
   bool every_state_ok = true;
-  for (const auto& commit : (*system)->recorder().commits()) {
-    auto r = commit.view_snapshot.GetTable("region_revenue");
-    auto c = commit.view_snapshot.GetTable("category_revenue");
-    if (TotalRevenue(**r, 2) != TotalRevenue(**c, 2)) {
-      every_state_ok = false;
-    }
-  }
+  Status replayed = checker.ReplayWarehouseStates(
+      (*system)->recorder(), [&](int64_t, const Catalog& views) {
+        auto r = views.GetTable("region_revenue");
+        auto c = views.GetTable("category_revenue");
+        if (TotalRevenue(**r, 2) != TotalRevenue(**c, 2)) {
+          every_state_ok = false;
+        }
+        return Status::OK();
+      }).status();
+  every_state_ok = every_state_ok && replayed.ok();
   std::cout << "Cross-check at every intermediate warehouse state: "
             << (every_state_ok ? "CONSISTENT" : "INCONSISTENT") << "\n";
 
-  ConsistencyChecker checker = (*system)->MakeChecker();
   Status strong = checker.CheckStrong((*system)->recorder());
   std::cout << "\nOracle (strong MVC): " << strong << "\n";
   return strong.ok() && every_state_ok &&

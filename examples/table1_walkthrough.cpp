@@ -96,10 +96,10 @@ int main() {
   auto system = mvc::WarehouseSystem::Build(mvc::Table1Scenario());
   MVC_CHECK(system.ok());
   (*system)->Run();
-  for (const std::string& name :
-       (*system)->warehouse().views().TableNames()) {
-    std::cout << (*system)->warehouse().views().GetTable(name).value()
-                     ->ToString();
+  const mvc::SnapshotHandle latest =
+      (*system)->warehouse().store().AcquireSnapshot();
+  for (const mvc::TableVersion& view : latest.version().tables) {
+    std::cout << view.Materialize().ToString();
   }
   auto checker = (*system)->MakeChecker();
   std::cout << "\nMVC complete:   "

@@ -92,12 +92,24 @@ ConsistencyChecker::ConsistencyChecker(std::vector<const BoundView*> views,
   }
 }
 
-std::string ConsistencyChecker::ViewLabel(ViewId id) const {
-  if (options_.registry != nullptr && id >= 0 &&
-      static_cast<size_t>(id) < options_.registry->num_views()) {
-    return options_.registry->ViewName(id);
+const std::string* ConsistencyChecker::ViewName(ViewId id) const {
+  if (options_.registry != nullptr) {
+    if (id < 0 || static_cast<size_t>(id) >= options_.registry->num_views()) {
+      return nullptr;
+    }
+    const std::string& name = options_.registry->ViewName(id);
+    for (const CheckedView& cv : views_) {
+      if (cv.view->name() == name) return &cv.view->name();
+    }
+    return nullptr;
   }
-  return StrCat("V#", id);
+  if (id < 0 || static_cast<size_t>(id) >= views_.size()) return nullptr;
+  return &views_[static_cast<size_t>(id)].view->name();
+}
+
+std::string ConsistencyChecker::ViewLabel(ViewId id) const {
+  const std::string* name = ViewName(id);
+  return name != nullptr ? *name : StrCat("V#", id);
 }
 
 std::set<std::string> ConsistencyChecker::RelevantViews(
@@ -117,19 +129,22 @@ std::set<std::string> ConsistencyChecker::RelevantViews(
   return rel;
 }
 
+Result<Table> ConsistencyChecker::Evaluate(
+    const CheckedView& cv, const TableProviderFn& provider) const {
+  return cv.aggregate != nullptr
+             ? EvaluateAggregate(*cv.view, *cv.aggregate, provider,
+                                 cv.view->name())
+             : ViewEvaluator::Evaluate(*cv.view, provider);
+}
+
 Status ConsistencyChecker::CompareViews(const Catalog& base,
-                                        const Catalog& snapshot,
+                                        const Catalog& views,
                                         const std::string& context) const {
   TableProviderFn provider = CatalogProvider(&base);
   for (const CheckedView& cv : views_) {
-    Result<Table> expected =
-        cv.aggregate != nullptr
-            ? EvaluateAggregate(*cv.view, *cv.aggregate, provider,
-                                cv.view->name())
-            : ViewEvaluator::Evaluate(*cv.view, provider);
+    Result<Table> expected = Evaluate(cv, provider);
     MVC_RETURN_IF_ERROR(expected.status());
-    MVC_ASSIGN_OR_RETURN(const Table* actual,
-                         snapshot.GetTable(cv.view->name()));
+    MVC_ASSIGN_OR_RETURN(const Table* actual, views.GetTable(cv.view->name()));
     if (!expected->ContentsEqual(*actual)) {
       return Status::ConsistencyViolation(
           StrCat(context, ": view '", cv.view->name(),
@@ -140,12 +155,74 @@ Status ConsistencyChecker::CompareViews(const Catalog& base,
   return Status::OK();
 }
 
+Status ConsistencyChecker::CompareStore(const Catalog& views) const {
+  if (options_.store == nullptr) return Status::OK();
+  const SnapshotHandle latest = options_.store->AcquireSnapshot();
+  for (const CheckedView& cv : views_) {
+    const std::string& name = cv.view->name();
+    MVC_ASSIGN_OR_RETURN(const Table* expected, views.GetTable(name));
+    const TableVersion* actual = latest.version().Find(name);
+    bool equal = actual != nullptr &&
+                 actual->distinct == expected->NumDistinct() &&
+                 actual->total_count == expected->NumRows();
+    if (equal) {
+      expected->ForEachRow([&](const Tuple& t, int64_t c) {
+        equal = equal && actual->CountOf(t) == c;
+      });
+    }
+    if (!equal) {
+      return Status::ConsistencyViolation(StrCat(
+          "store version @commit ", latest.commit_id(), ": view '", name,
+          "' differs from the replayed action lists.\nExpected:\n",
+          expected->ToString(), "Actual:\n",
+          actual != nullptr ? actual->Materialize().ToString()
+                            : std::string("(missing)\n")));
+    }
+  }
+  return Status::OK();
+}
+
+Result<Catalog> ConsistencyChecker::ReplayWarehouseStates(
+    const ConsistencyRecorder& recorder,
+    const std::function<Status(int64_t, const Catalog&)>& visit) const {
+  // W_0: what WarehouseSystem installs before the first commit.
+  TableProviderFn provider = CatalogProvider(&initial_base_);
+  Catalog views;
+  for (const CheckedView& cv : views_) {
+    MVC_ASSIGN_OR_RETURN(Table contents, Evaluate(cv, provider));
+    MVC_RETURN_IF_ERROR(views.CreateTable(cv.view->name(), contents.schema()));
+    **views.GetTable(cv.view->name()) = std::move(contents);
+  }
+  if (visit) MVC_RETURN_IF_ERROR(visit(0, views));
+  for (size_t j = 0; j < recorder.commits().size(); ++j) {
+    for (const ActionList& al : recorder.commits()[j].txn.actions) {
+      const std::string* name = ViewName(al.view);
+      if (name == nullptr) {
+        return Status::ConsistencyViolation(
+            StrCat("commit #", j, " carries an action list for unknown view ",
+                   ViewLabel(al.view)));
+      }
+      MVC_ASSIGN_OR_RETURN(Table * table, views.GetTable(*name));
+      if (al.replace_all) table->Clear();
+      Status st = al.delta.ApplyTo(table);
+      if (!st.ok()) {
+        return Status::ConsistencyViolation(
+            StrCat("commit #", j, ": action list for view '", *name,
+                   "' does not apply: ", st.message()));
+      }
+    }
+    if (visit) MVC_RETURN_IF_ERROR(visit(static_cast<int64_t>(j) + 1, views));
+  }
+  return views;
+}
+
 Status ConsistencyChecker::CheckConvergent(
     const ConsistencyRecorder& recorder) const {
-  if (!recorder.snapshots_enabled()) {
+  if (!recorder.content_checks()) {
     return Status::FailedPrecondition(
-        "convergence check requires view snapshots");
+        "convergence check requires a content-checking recorder");
   }
+  MVC_ASSIGN_OR_RETURN(Catalog views, ReplayWarehouseStates(recorder, {}));
   if (recorder.commits().empty()) {
     // No commits: converged iff no update affects any view.
     for (const RecordedUpdate& u : recorder.updates()) {
@@ -155,23 +232,23 @@ Status ConsistencyChecker::CheckConvergent(
                    " affects views but the warehouse never committed"));
       }
     }
-    return Status::OK();
+  } else {
+    SignedBase base(initial_base_);
+    for (const RecordedUpdate& u : recorder.updates()) {
+      for (const Update& upd : u.txn.updates) base.ApplyUpdate(upd);
+    }
+    MVC_RETURN_IF_ERROR(
+        CompareViews(base.Materialize(), views, "final state"));
   }
-  SignedBase base(initial_base_);
-  for (const RecordedUpdate& u : recorder.updates()) {
-    for (const Update& upd : u.txn.updates) base.ApplyUpdate(upd);
-  }
-  return CompareViews(base.Materialize(),
-                      recorder.commits().back().view_snapshot,
-                      "final state");
+  return CompareStore(views);
 }
 
 Status ConsistencyChecker::CheckChain(const ConsistencyRecorder& recorder,
                                       bool require_single_steps,
                                       bool require_final_coverage) const {
-  if (!recorder.snapshots_enabled()) {
+  if (!recorder.content_checks()) {
     return Status::FailedPrecondition(
-        "consistency check requires view snapshots");
+        "consistency check requires a content-checking recorder");
   }
 
   // Index the numbered source schedule. A duplicate update number is a
@@ -197,19 +274,12 @@ Status ConsistencyChecker::CheckChain(const ConsistencyRecorder& recorder,
     rel[u.id] = RelevantViews(u.txn);
   }
 
-  SignedBase base(initial_base_);
-  std::set<UpdateId> applied;
   // (view, update) pairs whose action-list delta reached the warehouse —
   // the crash-recovery hazard: a replayed or resynced AL applied twice
   // corrupts the view even when the applied-update chain looks legal.
   std::set<std::pair<ViewId, UpdateId>> applied_pairs;
-
-  // Initial warehouse state must be consistent too, but the recorder only
-  // sees commits; tests install exact initial materializations, so start
-  // from the first commit.
   for (size_t j = 0; j < recorder.commits().size(); ++j) {
-    const RecordedCommit& commit = recorder.commits()[j];
-    for (const ActionList& al : commit.txn.actions) {
+    for (const ActionList& al : recorder.commits()[j].txn.actions) {
       std::vector<UpdateId> ids = al.covered;
       if (ids.empty()) ids.push_back(al.update);
       for (UpdateId id : ids) {
@@ -222,62 +292,73 @@ Status ConsistencyChecker::CheckChain(const ConsistencyRecorder& recorder,
         }
       }
     }
-    std::vector<UpdateId> fresh;
-    for (UpdateId id : commit.txn.rows) {
-      if (applied.count(id) == 0) fresh.push_back(id);
-    }
-    std::sort(fresh.begin(), fresh.end());
-
-    if (require_single_steps && fresh.size() != 1) {
-      return Status::ConsistencyViolation(
-          StrCat("commit #", j, " (", commit.txn.ToString(), ") advances by ",
-                 fresh.size(), " updates; completeness requires exactly 1"));
-    }
-
-    for (UpdateId id : fresh) {
-      auto it = by_id.find(id);
-      if (it == by_id.end()) {
-        return Status::ConsistencyViolation(
-            StrCat("commit #", j, " claims unknown update U", id));
-      }
-      // Legality: every earlier update sharing a view must already be in
-      // the chain (otherwise the implied schedule is not equivalent to
-      // S: two dependent updates would be reordered).
-      for (const auto& [other_id, other_rel] : rel) {
-        if (other_id >= id || applied.count(other_id) > 0) continue;
-        if (std::find(fresh.begin(), fresh.end(), other_id) != fresh.end() &&
-            other_id < id) {
-          continue;  // entering in the same commit, ordered by id
-        }
-        bool overlap = false;
-        for (const std::string& v : rel[id]) {
-          if (other_rel.count(v) > 0) {
-            overlap = true;
-            break;
-          }
-        }
-        if (overlap) {
-          return Status::ConsistencyViolation(
-              StrCat("commit #", j, " applies U", id, " before dependent U",
-                     other_id, " (shared view)"));
-        }
-      }
-      // Advance the replayed base state.
-      for (const Update& upd : it->second->txn.updates) {
-        base.ApplyUpdate(upd);
-      }
-      applied.insert(id);
-    }
-
-    MVC_RETURN_IF_ERROR(CompareViews(
-        base.Materialize(), commit.view_snapshot,
-        StrCat("commit #", j, " (rows [",
-               JoinToString(commit.txn.rows, ","), "])")));
   }
 
-  // Final coverage: every update that affects some view must be applied.
-  // Only meaningful at quiescence — a run prefix legitimately has
-  // in-flight updates, so CheckPrefix skips this clause.
+  SignedBase base(initial_base_);
+  std::set<UpdateId> applied;
+  Result<Catalog> views = ReplayWarehouseStates(
+      recorder, [&](int64_t k, const Catalog& state) -> Status {
+        if (k == 0) return Status::OK();
+        const size_t j = static_cast<size_t>(k) - 1;
+        const RecordedCommit& commit = recorder.commits()[j];
+        std::vector<UpdateId> fresh;
+        for (UpdateId id : commit.txn.rows) {
+          if (applied.count(id) == 0) fresh.push_back(id);
+        }
+        std::sort(fresh.begin(), fresh.end());
+
+        if (require_single_steps && fresh.size() != 1) {
+          return Status::ConsistencyViolation(StrCat(
+              "commit #", j, " (", commit.txn.ToString(), ") advances by ",
+              fresh.size(), " updates; completeness requires exactly 1"));
+        }
+
+        for (UpdateId id : fresh) {
+          auto it = by_id.find(id);
+          if (it == by_id.end()) {
+            return Status::ConsistencyViolation(
+                StrCat("commit #", j, " claims unknown update U", id));
+          }
+          // Legality: every earlier update sharing a view must already be
+          // in the chain (otherwise the implied schedule is not
+          // equivalent to S: two dependent updates would be reordered).
+          for (const auto& [other_id, other_rel] : rel) {
+            if (other_id >= id || applied.count(other_id) > 0) continue;
+            if (std::find(fresh.begin(), fresh.end(), other_id) !=
+                    fresh.end() &&
+                other_id < id) {
+              continue;  // entering in the same commit, ordered by id
+            }
+            bool overlap = false;
+            for (const std::string& v : rel[id]) {
+              if (other_rel.count(v) > 0) {
+                overlap = true;
+                break;
+              }
+            }
+            if (overlap) {
+              return Status::ConsistencyViolation(
+                  StrCat("commit #", j, " applies U", id,
+                         " before dependent U", other_id, " (shared view)"));
+            }
+          }
+          // Advance the replayed base state.
+          for (const Update& upd : it->second->txn.updates) {
+            base.ApplyUpdate(upd);
+          }
+          applied.insert(id);
+        }
+
+        return CompareViews(base.Materialize(), state,
+                            StrCat("commit #", j, " (rows [",
+                                   JoinToString(commit.txn.rows, ","), "])"));
+      });
+  MVC_RETURN_IF_ERROR(views.status());
+
+  // Final coverage: every update that affects some view must be applied,
+  // and the store readers see must hold the replayed end state. Only
+  // meaningful at quiescence — a run prefix legitimately has in-flight
+  // updates, so CheckPrefix skips this clause.
   if (require_final_coverage) {
     for (const RecordedUpdate& u : recorder.updates()) {
       if (!rel[u.id].empty() && applied.count(u.id) == 0) {
@@ -287,6 +368,7 @@ Status ConsistencyChecker::CheckChain(const ConsistencyRecorder& recorder,
                    "] but was never reflected at the warehouse"));
       }
     }
+    MVC_RETURN_IF_ERROR(CompareStore(*views));
   }
   return Status::OK();
 }

@@ -4,12 +4,14 @@
 // The recorder taps two streams:
 //   * the integrator's numbered transaction stream (the canonical source
 //     schedule S = U_1; U_2; ... of Section 2.1), and
-//   * the warehouse's commit stream, with a snapshot of every view's
-//     contents after each commit (the warehouse state sequence Wseq).
+//   * the warehouse's commit stream: every committed transaction with
+//     its action lists, in commit order.
 //
-// The checker (checker.h) replays the first against the initial source
-// state to decide whether the second satisfies the paper's convergence /
-// strong-consistency / completeness definitions.
+// It holds no view contents. The checker (checker.h) rebuilds the
+// warehouse state sequence Wseq by replaying the committed action lists
+// onto flat tables, replays the source stream against the initial
+// source state, and decides whether the pair satisfies the paper's
+// convergence / strong-consistency / completeness definitions.
 
 #pragma once
 
@@ -20,7 +22,6 @@
 
 #include "net/protocol.h"
 #include "net/runtime.h"
-#include "storage/catalog.h"
 
 namespace mvc {
 
@@ -34,9 +35,6 @@ struct RecordedCommit {
   ProcessId submitter = kInvalidProcess;
   WarehouseTransaction txn;
   TimeMicros committed_at = 0;
-  /// Contents of every warehouse view after this commit (empty when
-  /// snapshotting is disabled).
-  Catalog view_snapshot;
 };
 
 /// Per-update propagation delay: commit time of the first warehouse
@@ -51,21 +49,22 @@ struct FreshnessStats {
 
 class ConsistencyRecorder {
  public:
-  /// When disabled, commits are still logged but view contents are not
-  /// snapshotted (cheap enough for benchmarks; the checker then can only
-  /// verify coverage/ordering, not contents).
-  explicit ConsistencyRecorder(bool snapshot_views = true)
-      : snapshot_views_(snapshot_views) {}
+  /// When `content_checks` is off, commits are still logged but the
+  /// checker refuses to judge contents (SystemConfig::record_snapshots
+  /// also turns off collect_covered, so action lists then lack the
+  /// covered-update lists the duplicate-AL check relies on).
+  explicit ConsistencyRecorder(bool content_checks = true)
+      : content_checks_(content_checks) {}
 
   /// Movable for wiring-time installation (WarehouseSystem::Wire runs
   /// single-threaded, before any observer can fire); the mutex itself
   /// is not moved.
   ConsistencyRecorder(ConsistencyRecorder&& other) noexcept
-      : snapshot_views_(other.snapshot_views_),
+      : content_checks_(other.content_checks_),
         updates_(std::move(other.updates_)),
         commits_(std::move(other.commits_)) {}
   ConsistencyRecorder& operator=(ConsistencyRecorder&& other) noexcept {
-    snapshot_views_ = other.snapshot_views_;
+    content_checks_ = other.content_checks_;
     updates_ = std::move(other.updates_);
     commits_ = std::move(other.commits_);
     return *this;
@@ -84,24 +83,19 @@ class ConsistencyRecorder {
 
   /// Warehouse observer (see WarehouseProcess::SetCommitObserver).
   void OnCommit(ProcessId submitter, const WarehouseTransaction& txn,
-                const Catalog& views, TimeMicros now) {
-    RecordedCommit commit;
-    commit.submitter = submitter;
-    commit.txn = txn;
-    commit.committed_at = now;
-    if (snapshot_views_) commit.view_snapshot = views.Clone();
-    commits_.push_back(std::move(commit));
+                TimeMicros now) {
+    commits_.push_back(RecordedCommit{submitter, txn, now});
   }
 
   const std::vector<RecordedUpdate>& updates() const { return updates_; }
   const std::vector<RecordedCommit>& commits() const { return commits_; }
-  bool snapshots_enabled() const { return snapshot_views_; }
+  bool content_checks() const { return content_checks_; }
 
   /// Freshness over all updates reflected by some commit.
   FreshnessStats ComputeFreshness() const;
 
  private:
-  bool snapshot_views_;
+  bool content_checks_;
   /// Guards updates_ against concurrent shard observers. updates() is
   /// only read after the runtime quiesces, so the accessor stays bare.
   std::mutex updates_mutex_;

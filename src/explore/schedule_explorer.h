@@ -110,8 +110,8 @@ struct ExploreReport {
 class ScheduleExplorer {
  public:
   /// `config` must be deterministic (it is re-Built per execution);
-  /// use_threads is ignored and snapshots are forced on when an oracle
-  /// level needs them.
+  /// use_threads is ignored and record_snapshots (content checks) is
+  /// forced on when an oracle level needs it.
   ScheduleExplorer(SystemConfig config, ExploreOptions options);
 
   /// Called after every violation-free execution that ran to quiescence,

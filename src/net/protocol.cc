@@ -149,8 +149,8 @@ std::string ReadViewsMsg::Summary() const {
 }
 
 std::vector<Table> ViewsSnapshotMsg::TakeTables() {
-  if (!handle.valid()) return std::move(snapshots);
   std::vector<Table> tables;
+  if (!handle.valid()) return tables;
   tables.reserve(view_names.size());
   for (const std::string& name : view_names) {
     Result<Table> table = handle.MaterializeTable(name);
@@ -162,9 +162,8 @@ std::vector<Table> ViewsSnapshotMsg::TakeTables() {
 
 std::string ViewsSnapshotMsg::Summary() const {
   if (!ok()) return StrCat("snapshot error: ", error);
-  return StrCat("snapshot of ",
-                handle.valid() ? view_names.size() : snapshots.size(),
-                " views @commit ", as_of_commit);
+  return StrCat("snapshot of ", view_names.size(), " views @commit ",
+                as_of_commit);
 }
 
 std::string QueryViewMsg::Summary() const {

@@ -186,10 +186,8 @@ struct ReadViewsMsg : Message {
   std::vector<ViewId> views;
   /// Time-travel read: serve the snapshot as of this commit count
   /// instead of the current state (-1 = current). Requires the
-  /// warehouse to retain versions (WarehouseOptions::max_retained_versions
-  /// or the deprecated history_depth); a read outside the retained
-  /// window gets a clean error response (or, on the legacy clone path,
-  /// crashes as the pre-MVCC implementation did).
+  /// warehouse to retain versions (WarehouseOptions::max_retained_versions);
+  /// a read outside the retained window gets a clean error response.
   int64_t as_of_commit = -1;
   std::string Summary() const override;
 };
@@ -200,22 +198,20 @@ struct ReadViewsMsg : Message {
 /// In-process the snapshot travels as an O(1) SnapshotHandle into the
 /// warehouse's MVCC store plus the resolved names of the requested views;
 /// flat Tables are produced only at the reader/serialization boundary
-/// (TakeTables). The legacy clone read path — and any serializer that
-/// already flattened — fills `snapshots` directly instead.
+/// (TakeTables).
 struct ViewsSnapshotMsg : Message {
   ViewsSnapshotMsg() : Message(Kind::kViewsSnapshot) {}
   int64_t request_id = 0;
   /// Number of warehouse transactions committed before this snapshot.
   int64_t as_of_commit = 0;
-  /// Shared reference to the immutable store version (MVCC path); holding
-  /// this message pins the version against garbage collection.
+  /// Shared reference to the immutable store version; holding this
+  /// message pins the version against garbage collection.
   SnapshotHandle handle;
-  /// Resolved names of the requested views, in request order (MVCC path).
+  /// Resolved names of the requested views, in request order.
   std::vector<std::string> view_names;
-  /// Pre-materialized tables (legacy clone path only).
-  std::vector<Table> snapshots;
-  /// Non-empty when the read failed cleanly — e.g. a time-travel read of
-  /// a garbage-collected version. No snapshot fields are populated then.
+  /// Non-empty when the read failed cleanly — a time-travel read of a
+  /// garbage-collected version, or a view id the warehouse does not
+  /// know. No snapshot fields are populated then.
   std::string error;
 
   bool ok() const { return error.empty(); }

@@ -36,7 +36,7 @@ class Catalog {
 
   size_t NumTables() const { return tables_.size(); }
 
-  /// Deep copy of all tables (state snapshotting for the oracle).
+  /// Deep copy of all tables.
   Catalog Clone() const;
 
  private:

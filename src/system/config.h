@@ -165,8 +165,11 @@ struct SystemConfig {
   // --- Runtime ---
   uint64_t seed = 1;
   LatencyModel latency = LatencyModel::Zero();
-  /// Snapshot warehouse views after every commit (required by the
-  /// consistency oracle; disable for large benchmark runs).
+  /// Let the consistency oracle judge view contents: the recorder
+  /// accepts content checks and view managers collect the covered-update
+  /// lists the duplicate-AL check needs. Nothing is snapshotted — the
+  /// checker replays the recorded action lists — so the cost is the
+  /// covered lists alone. Off, only coverage/ordering can be checked.
   bool record_snapshots = true;
   /// Run on real threads instead of the deterministic simulator.
   bool use_threads = false;

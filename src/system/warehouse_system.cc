@@ -91,16 +91,10 @@ Status WarehouseSystem::Wire(SystemConfig config) {
           "and resync requests assume a single retained update stream");
     }
   }
-  if (config_.ingest.group_commit.enabled) {
-    if (config_.ingest.group_commit.max_batch < 1) {
-      return Status::InvalidArgument(
-          "ingest.group_commit.max_batch must be >= 1");
-    }
-    if (config_.warehouse.legacy_clone_history) {
-      return Status::InvalidArgument(
-          "group commit batches store versions; the legacy clone ring "
-          "serves unbatched per-transaction states — pick one");
-    }
+  if (config_.ingest.group_commit.enabled &&
+      config_.ingest.group_commit.max_batch < 1) {
+    return Status::InvalidArgument(
+        "ingest.group_commit.max_batch must be >= 1");
   }
   // The warehouse reads the group-commit bounds from its own options.
   config_.warehouse.group_commit = config_.ingest.group_commit;
@@ -316,8 +310,8 @@ Status WarehouseSystem::Wire(SystemConfig config) {
   warehouse_->SetCommitObserver(
       [this, wh_commits, wh_txn_rows](ProcessId submitter,
                                       const WarehouseTransaction& txn,
-                                      const Catalog& views, TimeMicros now) {
-        recorder_.OnCommit(submitter, txn, views, now);
+                                      TimeMicros now) {
+        recorder_.OnCommit(submitter, txn, now);
         if (wh_commits != nullptr) {
           wh_commits->Add();
           wh_txn_rows->Record(static_cast<int64_t>(txn.rows.size()));
@@ -764,6 +758,7 @@ ConsistencyChecker WarehouseSystem::MakeChecker() const {
                                   ? false
                                   : config_.integrator.relevance_pruning;
   options.registry = &registry_;
+  options.store = &warehouse_->store();
   return ConsistencyChecker(std::move(views), initial_base_, options);
 }
 

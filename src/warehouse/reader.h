@@ -213,9 +213,8 @@ class WarehouseReader : public Process {
         obs.at = Now();
         obs.as_of_commit = snap->as_of_commit;
         obs.error = snap->error;
-        // Materialize the MVCC handle (or take the legacy clones) here,
-        // on the reader — the consumption boundary — and release the
-        // handle so the version can be collected.
+        // Materialize the handle here, on the reader — the consumption
+        // boundary — and release it so the version can be collected.
         if (snap->ok()) obs.snapshots = snap->TakeTables();
         snap->handle.Release();
         observations_.push_back(std::move(obs));

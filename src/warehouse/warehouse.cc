@@ -7,13 +7,10 @@ namespace mvc {
 
 Status WarehouseProcess::InitializeView(const std::string& view,
                                         const Table& contents) {
-  MVC_ASSIGN_OR_RETURN(Table * table, views_.GetTable(view));
   MVC_ASSIGN_OR_RETURN(VersionedTable * versioned, store_.GetTable(view));
-  MVC_CHECK(table->empty());
   MVC_CHECK(versioned->empty());
   Status st;
   contents.ForEachRow([&](const Tuple& t, int64_t c) {
-    if (st.ok()) st = table->Insert(t, c);
     if (st.ok()) st = versioned->Insert(t, c);
   });
   return st;
@@ -50,10 +47,6 @@ void WarehouseProcess::EnsureInitialVersion() {
       versions_live_->Set(static_cast<int64_t>(store_.versions_live()));
     }
   }
-  if (LegacyRingActive() && history_.empty()) {
-    history_.push_back(views_.Clone());
-    first_history_commit_ = 0;
-  }
 }
 
 bool WarehouseProcess::DependenciesMet(
@@ -68,21 +61,16 @@ bool WarehouseProcess::DependenciesMet(
 Status WarehouseProcess::ApplyActionList(const ActionList& al) {
   MVC_CHECK(registry_ != nullptr) << "warehouse registry not wired";
   const std::string& name = registry_->ViewName(al.view);
-  MVC_ASSIGN_OR_RETURN(Table * table, views_.GetTable(name));
   MVC_ASSIGN_OR_RETURN(VersionedTable * versioned, store_.GetTable(name));
-  if (al.replace_all) {
-    table->Clear();
-    versioned->Clear();
-  }
+  if (al.replace_all) versioned->Clear();
   ++actions_applied_;
-  MVC_RETURN_IF_ERROR(al.delta.ApplyTo(table));
   return versioned->ApplyDelta(al.delta);
 }
 
-// Applies the transaction to the flat catalog, advances the commit
-// count, and fires the observer + ack. Publishing the store version is
-// the caller's business: Commit seals immediately, Enqueue defers to
-// the batch flush.
+// Applies the transaction to the store's working tables, advances the
+// commit count, and fires the observer + ack. Publishing the store
+// version is the caller's business: Commit seals immediately, Enqueue
+// defers to the batch flush.
 void WarehouseProcess::Apply(const InFlight& in_flight) {
   EnsureInitialVersion();
   for (const ActionList& al : in_flight.txn.actions) {
@@ -93,16 +81,7 @@ void WarehouseProcess::Apply(const InFlight& in_flight) {
   }
   committed_[in_flight.submitter].insert(in_flight.txn.txn_id);
   ++committed_count_;
-  if (LegacyRingActive()) {
-    history_.push_back(views_.Clone());
-    while (history_.size() > options_.history_depth + 1) {
-      history_.pop_front();
-      ++first_history_commit_;
-    }
-  }
-  if (observer_) {
-    observer_(in_flight.submitter, in_flight.txn, views_, Now());
-  }
+  if (observer_) observer_(in_flight.submitter, in_flight.txn, Now());
   auto ack = std::make_unique<TxnCommittedMsg>();
   ack->txn_id = in_flight.txn.txn_id;
   Send(in_flight.submitter, std::move(ack));
@@ -241,48 +220,20 @@ void WarehouseProcess::RetryHeld() {
   }
 }
 
+const std::string* WarehouseProcess::ResolveView(ViewId view) const {
+  MVC_CHECK(registry_ != nullptr) << "warehouse registry not wired";
+  if (view < 0 || static_cast<size_t>(view) >= registry_->num_views()) {
+    return nullptr;
+  }
+  return &registry_->ViewName(view);
+}
+
 void WarehouseProcess::ServeRead(ProcessId from, const ReadViewsMsg& read) {
   EnsureInitialVersion();
   auto resp = std::make_unique<ViewsSnapshotMsg>();
   resp->request_id = read.request_id;
-  if (options_.legacy_clone_history) {
-    // Pre-MVCC behaviour, bit for bit: deep-clone the flat catalog (or
-    // the history ring entry), crash on an out-of-window time travel.
-    const Catalog* state = &views_;
-    resp->as_of_commit = committed_count_;
-    if (read.as_of_commit >= 0) {
-      const int64_t idx = read.as_of_commit - first_history_commit_;
-      MVC_CHECK(options_.history_depth > 0)
-          << "time-travel read but history_depth == 0";
-      MVC_CHECK(idx >= 0 && idx < static_cast<int64_t>(history_.size()))
-          << "commit " << read.as_of_commit
-          << " outside the retained window [" << first_history_commit_
-          << ", "
-          << first_history_commit_ + static_cast<int64_t>(history_.size()) -
-                 1
-          << "]";
-      state = &history_[static_cast<size_t>(idx)];
-      resp->as_of_commit = read.as_of_commit;
-    }
-    std::vector<std::string> names;
-    if (read.views.empty()) {
-      names = state->TableNames();
-    } else {
-      MVC_CHECK(registry_ != nullptr) << "warehouse registry not wired";
-      for (ViewId id : read.views) {
-        names.push_back(registry_->ViewName(id));
-      }
-    }
-    for (const std::string& name : names) {
-      auto table = state->GetTable(name);
-      MVC_CHECK(table.ok()) << "read of unknown view " << name;
-      resp->snapshots.push_back((*table)->Clone());
-    }
-    Send(from, std::move(resp));
-    return;
-  }
-  // MVCC path: hand out an O(1) reference to a sealed version. The
-  // tables flatten only at the reader/serialization boundary
+  // Hand out an O(1) reference to a sealed version. The tables flatten
+  // only at the reader/serialization boundary
   // (ViewsSnapshotMsg::TakeTables), never here on the warehouse actor.
   SnapshotHandle handle;
   if (read.as_of_commit >= 0) {
@@ -304,12 +255,17 @@ void WarehouseProcess::ServeRead(ProcessId from, const ReadViewsMsg& read) {
       resp->view_names.push_back(tv.name);
     }
   } else {
-    MVC_CHECK(registry_ != nullptr) << "warehouse registry not wired";
     for (ViewId id : read.views) {
-      const std::string& name = registry_->ViewName(id);
-      MVC_CHECK(handle.version().Find(name) != nullptr)
-          << "read of unknown view " << name;
-      resp->view_names.push_back(name);
+      const std::string* name = ResolveView(id);
+      if (name == nullptr || handle.version().Find(*name) == nullptr) {
+        resp->view_names.clear();
+        resp->error = name == nullptr
+                          ? StrCat("unknown view id ", id)
+                          : StrCat("view '", *name, "' is not in the snapshot");
+        Send(from, std::move(resp));
+        return;
+      }
+      resp->view_names.push_back(*name);
     }
   }
   if (snapshot_bytes_shared_ != nullptr) {
@@ -345,9 +301,13 @@ void WarehouseProcess::ServeQuery(ProcessId from, const QueryViewMsg& query) {
   } else {
     handle = store_.AcquireSnapshot();
   }
-  MVC_CHECK(registry_ != nullptr) << "warehouse registry not wired";
-  const std::string& name = registry_->ViewName(query.view);
-  Result<ScanResult> scanned = ExecuteScan(handle, name, query.query);
+  const std::string* name = ResolveView(query.view);
+  if (name == nullptr) {
+    resp->error = StrCat("unknown view id ", query.view);
+    Send(from, std::move(resp));
+    return;
+  }
+  Result<ScanResult> scanned = ExecuteScan(handle, *name, query.query);
   if (!scanned.ok()) {
     resp->error = scanned.status().message();
     Send(from, std::move(resp));

@@ -13,20 +13,21 @@
 // keeping reordering on reproduces the WT3-before-WT1 anomaly the paper
 // warns about — the MVC tests use exactly this ablation.
 //
-// Read path (MVCC): alongside the flat view catalog (the maintenance
-// working copy the oracle observes), every commit publishes an immutable
-// version into a VersionedStore with structural sharing — a commit copies
-// only the chunks its action lists touch. Reads are answered with O(1)
-// SnapshotHandles instead of catalog clones; time-travel reads
-// (ReadViewsMsg::as_of_commit) index the store's retained window and a
-// read of a garbage-collected version gets a clean error response. The
-// pre-MVCC clone-based history survives behind
-// WarehouseOptions::legacy_clone_history for golden comparisons.
+// State: the VersionedStore is the warehouse's only copy of the views.
+// Every action list is applied once, to the store's working tables, and
+// every commit publishes an immutable version with structural sharing —
+// a commit copies only the chunks its action lists touch. Reads are
+// answered with O(1) SnapshotHandles; time-travel reads
+// (ReadViewsMsg::as_of_commit) index the store's retained window, and a
+// read of a garbage-collected version, an unknown view, or a view
+// missing from the snapshot gets a clean error response. The
+// consistency oracle keeps its own flat replay of the committed action
+// lists (src/consistency) and checks the store's latest version against
+// it at the end of a run.
 
 #pragma once
 
 #include <functional>
-#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -38,7 +39,6 @@
 #include "net/protocol.h"
 #include "net/runtime.h"
 #include "obs/metrics.h"
-#include "storage/catalog.h"
 #include "storage/id_registry.h"
 #include "storage/versioned_store.h"
 
@@ -47,10 +47,11 @@ namespace mvc {
 /// Group commit (scale-out ingest): transactions from independent merge
 /// groups are buffered and folded into one versioned-store commit,
 /// bounding the number of store versions (and snapshot churn) under a
-/// sharded ingest fan-in. The flat catalog, the commit observer, and the
-/// per-transaction acks all still advance one transaction at a time, so
-/// the consistency oracle and the merge processes are oblivious; only
-/// the version the MVCC read path sees is batched. Configured through
+/// sharded ingest fan-in. The store's working tables, the commit
+/// observer, and the per-transaction acks all still advance one
+/// transaction at a time, so the consistency oracle and the merge
+/// processes are oblivious; only the version the read path sees is
+/// batched. Configured through
 /// SystemConfig::ingest.
 struct GroupCommitOptions {
   bool enabled = false;
@@ -73,26 +74,12 @@ struct WarehouseOptions {
   bool honor_dependencies = true;
   /// Seed for the jitter draws.
   uint64_t seed = 11;
-  /// DEPRECATED — use max_retained_versions. Number of past warehouse
-  /// states retained for time-travel reads (ReadViewsMsg::as_of_commit).
-  /// Kept as a retention hint: the MVCC store retains
-  /// max(history_depth, max_retained_versions) past versions, so configs
-  /// written against the clone era keep their time-travel window. The
-  /// clone ring itself is only maintained (and only serves reads) when
-  /// legacy_clone_history is also set.
-  size_t history_depth = 0;
   /// Number of past versions the MVCC store keeps reachable for
   /// time-travel reads, on top of the always-readable current version.
   /// Versions older than the window survive only while a live snapshot
   /// handle pins them; reading them returns a clean error. O(delta)
   /// per-commit cost regardless of value — safe for production sizing.
   size_t max_retained_versions = 0;
-  /// Serve reads from full catalog clones (the pre-MVCC implementation),
-  /// including its crash-on-out-of-window time-travel semantics.
-  /// Requires history_depth for time travel. Exists for the golden
-  /// byte-identical comparison and the read-scaling baseline; do not use
-  /// in new configurations.
-  bool legacy_clone_history = false;
 
   /// --- Snapshot-serving query tier (QueryViewMsg admission control) ---
 
@@ -113,12 +100,6 @@ struct WarehouseOptions {
   /// Group commit (see GroupCommitOptions; wired from
   /// SystemConfig::ingest.group_commit).
   GroupCommitOptions group_commit;
-
-  /// Past versions the MVCC store retains (see above).
-  size_t EffectiveRetention() const {
-    return history_depth > max_retained_versions ? history_depth
-                                                 : max_retained_versions;
-  }
 };
 
 class WarehouseProcess : public Process {
@@ -127,7 +108,7 @@ class WarehouseProcess : public Process {
       : Process(std::move(name)),
         options_(options),
         rng_(options.seed),
-        store_(options.EffectiveRetention()) {}
+        store_(options.max_retained_versions) {}
 
   /// --- Setup ---
 
@@ -142,7 +123,6 @@ class WarehouseProcess : public Process {
   void EnableObservability(obs::MetricsRegistry* metrics);
 
   Status CreateView(const std::string& view, const Schema& schema) {
-    MVC_RETURN_IF_ERROR(views_.CreateTable(view, schema));
     return store_.CreateTable(view, schema);
   }
 
@@ -157,22 +137,26 @@ class WarehouseProcess : public Process {
   void SetCompactor(ProcessId compactor, int64_t stats_every_commits,
                     size_t max_version_detail);
 
-  /// Invoked after every commit with the transaction, the new view
-  /// catalog, and the commit time. The consistency oracle hooks this.
+  /// Invoked after every commit with the submitter, the transaction, and
+  /// the commit time. The consistency oracle hooks this.
   void SetCommitObserver(
       std::function<void(ProcessId submitter, const WarehouseTransaction&,
-                         const Catalog&, TimeMicros)>
+                         TimeMicros)>
           observer) {
     observer_ = std::move(observer);
   }
 
   /// --- Introspection ---
 
-  const Catalog& views() const { return views_; }
   int64_t transactions_committed() const { return committed_count_; }
   int64_t actions_applied() const { return actions_applied_; }
-  /// The MVCC store behind the read path (GC state, live versions).
+  /// The warehouse state: every view, every published version.
   const VersionedStore& store() const { return store_; }
+  /// Flattens `view` as of the latest published version. NotFound for a
+  /// view the store does not hold.
+  Result<Table> MaterializeView(const std::string& view) const {
+    return store_.AcquireSnapshot().MaterializeTable(view);
+  }
 
   void OnStart() override { EnsureInitialVersion(); }
   void OnMessage(ProcessId from, MessagePtr msg) override;
@@ -187,13 +171,14 @@ class WarehouseProcess : public Process {
   bool DependenciesMet(ProcessId submitter,
                        const WarehouseTransaction& txn) const;
 
-  /// Applies the transaction (flat catalog, commit count, observer,
-  /// ack); the caller decides when the store version is published.
+  /// Applies the transaction to the store's working tables (plus commit
+  /// count, observer, ack); the caller decides when the store version is
+  /// published.
   void Apply(const InFlight& in_flight);
   void Commit(InFlight in_flight);
-  /// Group-commit entry: applies the transaction to the flat catalog
-  /// (observer + ack fire per transaction, in order) but defers the
-  /// versioned-store publish to the batch flush.
+  /// Group-commit entry: applies the transaction (observer + ack fire
+  /// per transaction, in order) but defers the version publish to the
+  /// batch flush.
   void Enqueue(InFlight in_flight);
   /// Publishes one store version covering every buffered transaction.
   void FlushBatch();
@@ -204,13 +189,12 @@ class WarehouseProcess : public Process {
   Status ApplyActionList(const ActionList& al);
 
   /// Publishes commit 0 (the initialized, pre-commit state) into the
-  /// versioned store — and seeds the legacy clone ring — exactly once.
+  /// versioned store exactly once.
   void EnsureInitialVersion();
 
-  /// The clone ring is maintained only on the explicit legacy path.
-  bool LegacyRingActive() const {
-    return options_.legacy_clone_history && options_.history_depth > 0;
-  }
+  /// Name of a minted view id; nullptr for an id the registry never
+  /// minted (reads name views by caller-supplied ids).
+  const std::string* ResolveView(ViewId view) const;
 
   void ServeRead(ProcessId from, const ReadViewsMsg& read);
 
@@ -246,11 +230,8 @@ class WarehouseProcess : public Process {
   /// by several transactions still report.
   int64_t compaction_stats_last_ = 0;
   size_t compaction_detail_ = 0;
-  /// Flat maintenance working copy: the state the commit observer (and
-  /// the consistency oracle) sees, and the source of legacy clones.
-  Catalog views_;
-  /// MVCC store: one immutable version per commit, structural sharing
-  /// across versions. Serves every read on the default path.
+  /// The views: one immutable version per commit, structural sharing
+  /// across versions. Serves every read.
   VersionedStore store_;
   /// Transactions whose processing delay elapsed but whose dependencies
   /// have not committed yet, in arrival order.
@@ -270,8 +251,8 @@ class WarehouseProcess : public Process {
   int64_t next_query_ticket_ = 0;
   /// Committed txn ids per submitting merge process.
   std::map<ProcessId, std::set<int64_t>> committed_;
-  /// Group commit: transactions applied to the flat catalog but not yet
-  /// published as a store version, with their admission times (for the
+  /// Group commit: transactions applied to the working tables but not
+  /// yet published as a store version, with their admission times (for the
   /// ingest.commit_latency_us histogram).
   struct Buffered {
     int64_t txn_id = 0;
@@ -285,12 +266,6 @@ class WarehouseProcess : public Process {
   /// transaction tickets start at 1 and query tickets are negative, so
   /// 0 is free.
   static constexpr int64_t kFlushTag = 0;
-  /// Ring of past states for time-travel reads: history_[k] is the view
-  /// catalog after commit number first_history_commit_ + k.
-  std::deque<Catalog> history_;
-  /// Commit count corresponding to history_.front() (i.e. the catalog
-  /// state after that many commits).
-  int64_t first_history_commit_ = 0;
   int64_t committed_count_ = 0;
   int64_t actions_applied_ = 0;
   /// Bytes of chunk storage shared with an outgoing snapshot (cumulative
@@ -309,8 +284,7 @@ class WarehouseProcess : public Process {
   /// Admission-to-publish wait per transaction under group commit
   /// (ingest.commit_latency_us).
   obs::Histogram* commit_latency_us_ = nullptr;
-  std::function<void(ProcessId, const WarehouseTransaction&, const Catalog&,
-                     TimeMicros)>
+  std::function<void(ProcessId, const WarehouseTransaction&, TimeMicros)>
       observer_;
 };
 

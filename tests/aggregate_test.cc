@@ -240,7 +240,8 @@ TEST(AggregateSystemTest, AggregateViewKeepsMvcWithJoinCore) {
 
   // Final aggregate contents: S = {[2,9]}; join with R gives rows for
   // A=1 and A=5, both B=2 -> group 2 has n=2, sum_c=18.
-  const Table* vagg = *(*system)->warehouse().views().GetTable("VAgg");
+  Result<Table> vagg = (*system)->warehouse().MaterializeView("VAgg");
+  ASSERT_TRUE(vagg.ok()) << vagg.status();
   EXPECT_EQ(vagg->NumRows(), 1);
   EXPECT_EQ(vagg->CountOf(Tuple{2, 2, 18}), 1);
 
@@ -428,18 +429,34 @@ TEST(AggregateOracleTest, DetectsCorruptedAggregateView) {
   ConsistencyChecker checker = (*system)->MakeChecker();
   ASSERT_TRUE(checker.CheckStrong((*system)->recorder()).ok());
 
-  // Forge a recorder whose only commit carries a wrong SUM.
+  // Forge a recorder whose only commit carries a wrong SUM: its VAgg
+  // action list becomes a replace_all installing the corrupted contents.
   ConsistencyRecorder forged;
   for (const auto& u : (*system)->recorder().updates()) {
     forged.OnUpdateNumbered(u.id, u.txn, u.numbered_at);
   }
-  for (const auto& c : (*system)->recorder().commits()) {
-    Catalog corrupted = c.view_snapshot.Clone();
-    Table* vagg = *corrupted.GetTable("VAgg");
-    ASSERT_TRUE(vagg->Delete(Tuple{2, 3}).ok());
-    ASSERT_TRUE(vagg->Insert(Tuple{2, 999}).ok());  // wrong total
-    forged.OnCommit(c.submitter, c.txn, corrupted, c.committed_at);
-  }
+  const auto& commits = (*system)->recorder().commits();
+  const ViewId vagg_id = *(*system)->registry().FindView("VAgg");
+  Status replayed = checker.ReplayWarehouseStates(
+      (*system)->recorder(), [&](int64_t k, const Catalog& views) {
+        if (k == 0) return Status::OK();
+        Table corrupted = (*views.GetTable("VAgg"))->Clone();
+        EXPECT_TRUE(corrupted.Delete(Tuple{2, 3}).ok());
+        EXPECT_TRUE(corrupted.Insert(Tuple{2, 999}).ok());  // wrong total
+        const RecordedCommit& c = commits[static_cast<size_t>(k) - 1];
+        WarehouseTransaction txn = c.txn;
+        for (ActionList& al : txn.actions) {
+          if (al.view != vagg_id) continue;
+          al.replace_all = true;
+          al.delta.rows.clear();
+          corrupted.Scan(
+              [&](const Tuple& t, int64_t n) { al.delta.Add(t, n); });
+        }
+        forged.OnCommit(c.submitter, txn, c.committed_at);
+        return Status::OK();
+      }).status();
+  ASSERT_TRUE(replayed.ok()) << replayed;
+  ASSERT_EQ(forged.commits().size(), commits.size());
   Status verdict = checker.CheckStrong(forged);
   EXPECT_TRUE(verdict.IsConsistencyViolation());
   EXPECT_NE(verdict.message().find("VAgg"), std::string::npos);

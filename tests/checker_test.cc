@@ -6,6 +6,7 @@
 
 #include "consistency/checker.h"
 #include "query/evaluator.h"
+#include "system/warehouse_system.h"
 #include "workload/paper_examples.h"
 
 namespace mvc {
@@ -42,28 +43,35 @@ class CheckerTest : public ::testing::Test {
     recorder->OnUpdateNumbered(id, txn, id * 100);
   }
 
-  /// Records a commit whose claimed rows are `rows` and whose snapshot
-  /// is evaluated over `base_state`.
+  /// A replace_all action list installing `contents` as view `view`
+  /// (ViewIds index the checker's views: 0 = V1, 1 = V2).
+  static ActionList ReplaceAll(ViewId view, const std::vector<UpdateId>& rows,
+                               const Table& contents) {
+    ActionList al;
+    al.view = view;
+    al.covered = rows;
+    if (!rows.empty()) al.update = rows.back();
+    al.replace_all = true;
+    contents.Scan([&](const Tuple& t, int64_t c) { al.delta.Add(t, c); });
+    return al;
+  }
+
+  /// Records a commit whose claimed rows are `rows` and whose action
+  /// lists install both views evaluated over `base_state`.
   void RecordCommit(ConsistencyRecorder* recorder, std::vector<UpdateId> rows,
                     const Catalog& base_state, TimeMicros at) {
     WarehouseTransaction txn;
     txn.txn_id = at;
     txn.rows = std::move(rows);
     txn.views = {0, 1};
-    Catalog snapshot;
+    ViewId id = 0;
     for (const BoundView* view : {&*v1_, &*v2_}) {
       auto contents =
           ViewEvaluator::Evaluate(*view, CatalogProvider(&base_state));
       MVC_CHECK(contents.ok());
-      MVC_CHECK(snapshot.CreateTable(view->name(), view->output_schema()).ok());
-      Status st;
-      contents->Scan([&](const Tuple& tuple, int64_t count) {
-        if (st.ok()) st = (*snapshot.GetTable(view->name()))->Insert(tuple,
-                                                                     count);
-      });
-      MVC_CHECK(st.ok());
+      txn.actions.push_back(ReplaceAll(id++, txn.rows, *contents));
     }
-    recorder->OnCommit(0, txn, snapshot, at);
+    recorder->OnCommit(0, txn, at);
   }
 
   std::map<std::string, Schema> schemas_;
@@ -94,16 +102,12 @@ TEST_F(CheckerTest, DetectsMutuallyInconsistentViews) {
   WarehouseTransaction txn;
   txn.rows = {1};
   txn.views = {0, 1};
-  Catalog snapshot;
-  // V1 evaluated after the update, V2 before it: mixed state.
+  // V1 evaluated after the update, V2 before it (empty): mixed state.
   auto v1_contents = ViewEvaluator::Evaluate(*v1_, CatalogProvider(&after));
   ASSERT_TRUE(v1_contents.ok());
-  ASSERT_TRUE(snapshot.CreateTable("V1", v1_->output_schema()).ok());
-  v1_contents->Scan([&](const Tuple& t, int64_t c) {
-    MVC_CHECK((*snapshot.GetTable("V1"))->Insert(t, c).ok());
-  });
-  ASSERT_TRUE(snapshot.CreateTable("V2", v2_->output_schema()).ok());
-  recorder.OnCommit(0, txn, snapshot, 500);
+  txn.actions = {ReplaceAll(0, txn.rows, *v1_contents),
+                 ReplaceAll(1, txn.rows, Table("V2", v2_->output_schema()))};
+  recorder.OnCommit(0, txn, 500);
 
   ConsistencyChecker checker = MakeChecker();
   Status st = checker.CheckStrong(recorder);
@@ -164,14 +168,15 @@ TEST_F(CheckerTest, ConvergentAcceptsWrongIntermediateStates) {
   ConsistencyRecorder recorder;
   RecordUpdate(&recorder, 1, Tuple{2, 3});
 
-  // Intermediate commit with a garbage snapshot (V1 updated, V2 not).
+  // Intermediate commit installing garbage (V1 updated, V2 not).
   WarehouseTransaction bogus;
   bogus.rows = {};
-  Catalog junk;
-  ASSERT_TRUE(junk.CreateTable("V1", v1_->output_schema()).ok());
-  ASSERT_TRUE(junk.CreateTable("V2", v2_->output_schema()).ok());
-  ASSERT_TRUE((*junk.GetTable("V1"))->Insert(Tuple{9, 9, 9}).ok());
-  recorder.OnCommit(0, bogus, junk, 300);
+  Table junk("V1", v1_->output_schema());
+  ASSERT_TRUE(junk.Insert(Tuple{9, 9, 9}).ok());
+  bogus.actions = {
+      ReplaceAll(0, bogus.rows, junk),
+      ReplaceAll(1, bogus.rows, Table("V2", v2_->output_schema()))};
+  recorder.OnCommit(0, bogus, 300);
 
   Catalog after = base_.Clone();
   ASSERT_TRUE((*after.GetTable("S"))->Insert(Tuple{2, 3}).ok());
@@ -193,7 +198,7 @@ TEST_F(CheckerTest, DetectsUnknownClaimedUpdate) {
 }
 
 TEST_F(CheckerTest, SnapshotsRequired) {
-  ConsistencyRecorder recorder(/*snapshot_views=*/false);
+  ConsistencyRecorder recorder(/*content_checks=*/false);
   ConsistencyChecker checker = MakeChecker();
   EXPECT_TRUE(checker.CheckStrong(recorder).IsFailedPrecondition());
   EXPECT_TRUE(checker.CheckConvergent(recorder).IsFailedPrecondition());
@@ -213,6 +218,43 @@ TEST_F(CheckerTest, FreshnessStatsComputeLags) {
   EXPECT_EQ(stats.updates_reflected, 2);
   EXPECT_DOUBLE_EQ(stats.mean_lag_micros, 500.0);
   EXPECT_EQ(stats.max_lag_micros, 700);
+}
+
+TEST(CheckerStoreTest, DetectsStoreThatDisagreesWithActionLists) {
+  // Example 3 commits three times. The forged recorder drops the last
+  // commit and the updates it introduced: what remains is a legal,
+  // complete run of a shorter schedule, so every per-commit clause
+  // passes — but its replayed end state is not what the warehouse store
+  // holds, and the final-store clause must say so.
+  auto system = WarehouseSystem::Build(Example3Scenario());
+  ASSERT_TRUE(system.ok());
+  (*system)->Run();
+  const ConsistencyRecorder& real = (*system)->recorder();
+  ConsistencyChecker checker = (*system)->MakeChecker();
+  ASSERT_TRUE(checker.CheckComplete(real).ok()) << checker.CheckComplete(real);
+  ASSERT_GE(real.commits().size(), 2u);
+
+  const RecordedCommit& last = real.commits().back();
+  ConsistencyRecorder forged;
+  for (const RecordedUpdate& u : real.updates()) {
+    if (std::find(last.txn.rows.begin(), last.txn.rows.end(), u.id) ==
+        last.txn.rows.end()) {
+      forged.OnUpdateNumbered(u.id, u.txn, u.numbered_at);
+    }
+  }
+  for (size_t j = 0; j + 1 < real.commits().size(); ++j) {
+    const RecordedCommit& c = real.commits()[j];
+    forged.OnCommit(c.submitter, c.txn, c.committed_at);
+  }
+  ASSERT_TRUE(checker.CheckPrefix(forged, /*require_single_steps=*/true).ok())
+      << checker.CheckPrefix(forged, true);
+
+  Status st = checker.CheckStrong(forged);
+  EXPECT_TRUE(st.IsConsistencyViolation()) << st;
+  EXPECT_NE(st.message().find("differs from the replayed action lists"),
+            std::string::npos)
+      << st;
+  EXPECT_TRUE(checker.CheckConvergent(forged).IsConsistencyViolation());
 }
 
 }  // namespace

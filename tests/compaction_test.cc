@@ -458,24 +458,36 @@ TEST(CompactorProcessTest, DeterministicAcrossIdenticalRuns) {
 /// --- End to end: WarehouseSystem with compaction enabled ---
 
 TEST(CompactionSystemTest, GeneratedWorkloadStaysConsistentUnderCompaction) {
-  WorkloadSpec spec;
-  spec.num_transactions = 60;
-  spec.seed = 9;
-  auto config = GenerateScenario(spec);
-  ASSERT_TRUE(config.ok());
-  config->compaction.enabled = true;
-  config->compaction.tiered.hot_window = 4;
-  config->compaction.stats_every_commits = 2;
-  config->warehouse.max_retained_versions = 200;
-  config->collect_metrics = true;
-
-  auto system = WarehouseSystem::Build(std::move(*config));
+  auto build = [](bool record_snapshots) {
+    WorkloadSpec spec;
+    spec.num_transactions = 60;
+    spec.seed = 9;
+    auto config = GenerateScenario(spec);
+    MVC_CHECK(config.ok());
+    config->compaction.enabled = true;
+    config->compaction.tiered.hot_window = 4;
+    config->compaction.stats_every_commits = 2;
+    config->warehouse.max_retained_versions = 200;
+    config->collect_metrics = true;
+    config->record_snapshots = record_snapshots;
+    return WarehouseSystem::Build(std::move(*config));
+  };
+  auto system = build(/*record_snapshots=*/true);
   ASSERT_TRUE(system.ok()) << system.status();
   (*system)->Run();
+
+  // The oracle pins nothing: the oracle-checked run ends with exactly
+  // the live versions of the same seed run without content checks.
+  auto unchecked = build(/*record_snapshots=*/false);
+  ASSERT_TRUE(unchecked.ok()) << unchecked.status();
+  (*unchecked)->Run();
+  EXPECT_EQ((*system)->warehouse().store().versions_live(),
+            (*unchecked)->warehouse().store().versions_live());
 
   // Compaction ran and its counters surfaced in the metrics snapshot.
   ASSERT_NE((*system)->compactor(), nullptr);
   EXPECT_GT((*system)->compactor()->stats().merges_applied, 0);
+  EXPECT_GT((*system)->compactor()->stats().versions_collapsed, 0);
   const obs::MetricsSnapshot snap = (*system)->MetricsSnapshot();
   const auto* merges = obs::FindCounter(snap, "compact.merges_total");
   ASSERT_NE(merges, nullptr);

@@ -159,9 +159,10 @@ TEST(FaultTest, CrashEveryProcessStillComplete) {
   // differently.)
   EXPECT_EQ(system->recorder().updates().size(),
             clean->recorder().updates().size());
-  for (const std::string& view : clean->warehouse().views().TableNames()) {
-    const Table* expected = *clean->warehouse().views().GetTable(view);
-    const Table* actual = *system->warehouse().views().GetTable(view);
+  for (const std::string& view : clean->warehouse().store().TableNames()) {
+    Result<Table> expected = clean->warehouse().MaterializeView(view);
+    Result<Table> actual = system->warehouse().MaterializeView(view);
+    ASSERT_TRUE(expected.ok() && actual.ok()) << view;
     EXPECT_TRUE(expected->ContentsEqual(*actual))
         << "view " << view << " diverged from the fault-free run";
   }

@@ -443,10 +443,10 @@ TEST_P(MaintEquivalenceTest, AlStreamsAndFinalStateBitIdentical) {
 
   // Final warehouse state identical, and both runs MVC-complete.
   for (const BoundView& view : (*run_a)->bound_views()) {
-    auto table_a = (*run_a)->warehouse().views().GetTable(view.name());
-    auto table_b = (*run_b)->warehouse().views().GetTable(view.name());
+    auto table_a = (*run_a)->warehouse().MaterializeView(view.name());
+    auto table_b = (*run_b)->warehouse().MaterializeView(view.name());
     ASSERT_TRUE(table_a.ok() && table_b.ok());
-    EXPECT_EQ((*table_a)->SortedRows(), (*table_b)->SortedRows())
+    EXPECT_EQ(table_a->SortedRows(), table_b->SortedRows())
         << view.name();
   }
   ConsistencyChecker checker_a = (*run_a)->MakeChecker();

@@ -80,7 +80,7 @@ struct Rig {
     runtime.Register(feeder.get());
     warehouse.SetCommitObserver([this](ProcessId,
                                        const WarehouseTransaction& txn,
-                                       const Catalog&, TimeMicros) {
+                                       TimeMicros) {
       commit_order.push_back(txn.txn_id);
       committed_rows.push_back(txn.rows);
     });

@@ -87,8 +87,8 @@ TEST(ParserTest, ParsedScenarioRunsAndIsComplete) {
   auto system = WarehouseSystem::Build(std::move(*config));
   ASSERT_TRUE(system.ok()) << system.status();
   (*system)->Run();
-  EXPECT_EQ((*(*system)->warehouse().views().GetTable("V1"))
-                ->CountOf(Tuple{1, 2, 3}),
+  EXPECT_EQ((*system)->warehouse().MaterializeView("V1")->CountOf(
+                Tuple{1, 2, 3}),
             1);
   ConsistencyChecker checker = (*system)->MakeChecker();
   EXPECT_TRUE(checker.CheckComplete((*system)->recorder()).ok());

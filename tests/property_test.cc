@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "query/evaluator.h"
 #include "system/warehouse_system.h"
 #include "workload/generator.h"
 
@@ -388,15 +387,15 @@ TEST_P(CrossShardPropertyTest, ReadersObserveOracleStatesAcrossShards) {
   EXPECT_EQ((*system)->tickets_issued(),
             static_cast<int64_t>(numbered_units));
 
-  // Oracle catalog at commit 0: every view evaluated over the initial
-  // base state. Commits >= 1 come from the recorder's snapshots.
-  std::map<std::string, Table> initial;
-  TableProviderFn provider = CatalogProvider(&(*system)->initial_base());
-  for (const BoundView& view : (*system)->bound_views()) {
-    auto table = ViewEvaluator::Evaluate(view, provider);
-    ASSERT_TRUE(table.ok()) << table.status().ToString();
-    initial.emplace(view.name(), *std::move(table));
-  }
+  // Oracle state per commit count, replayed from the committed action
+  // lists: commit 0 is every view evaluated over the initial base.
+  std::vector<Catalog> states;
+  Status replayed = checker.ReplayWarehouseStates(
+      recorder, [&](int64_t, const Catalog& views) {
+        states.push_back(views.Clone());
+        return Status::OK();
+      }).status();
+  ASSERT_TRUE(replayed.ok()) << replayed;
 
   size_t checked = 0;
   for (const WarehouseReader* reader : readers) {
@@ -408,26 +407,14 @@ TEST_P(CrossShardPropertyTest, ReadersObserveOracleStatesAcrossShards) {
       ASSERT_LE(obs.as_of_commit,
                 static_cast<int64_t>(recorder.commits().size()));
       for (const Table& got : obs.snapshots) {
-        if (obs.as_of_commit == 0) {
-          auto it = initial.find(got.name());
-          ASSERT_NE(it, initial.end()) << "unknown view " << got.name();
-          EXPECT_TRUE(got.ContentsEqual(it->second))
-              << c.name << ": view " << got.name()
-              << " torn at commit 0.\nExpected:\n"
-              << it->second.ToString() << "Actual:\n"
-              << got.ToString();
-        } else {
-          const Catalog& oracle =
-              recorder.commits()[static_cast<size_t>(obs.as_of_commit) - 1]
-                  .view_snapshot;
-          auto want = oracle.GetTable(got.name());
-          ASSERT_TRUE(want.ok()) << "unknown view " << got.name();
-          EXPECT_TRUE(got.ContentsEqual(**want))
-              << c.name << ": view " << got.name() << " torn at commit "
-              << obs.as_of_commit << ".\nExpected:\n"
-              << (*want)->ToString() << "Actual:\n"
-              << got.ToString();
-        }
+        auto want = states[static_cast<size_t>(obs.as_of_commit)].GetTable(
+            got.name());
+        ASSERT_TRUE(want.ok()) << "unknown view " << got.name();
+        EXPECT_TRUE(got.ContentsEqual(**want))
+            << c.name << ": view " << got.name() << " torn at commit "
+            << obs.as_of_commit << ".\nExpected:\n"
+            << (*want)->ToString() << "Actual:\n"
+            << got.ToString();
         ++checked;
       }
     }

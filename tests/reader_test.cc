@@ -200,13 +200,10 @@ TEST(TimeTravelTest, HistoricalReadServesPastState) {
   // Example 3 commits three times; a late read as-of commit 1 must see
   // the state right after the first commit, not the final one.
   SystemConfig config = Example3Scenario();
-  config.warehouse.history_depth = 8;
+  config.warehouse.max_retained_versions = 8;
   auto system = WarehouseSystem::Build(std::move(config));
   ASSERT_TRUE(system.ok());
 
-  // Find the warehouse pid by asking a probe reader... simpler: attach
-  // a normal reader to learn nothing; reach the warehouse via the
-  // system accessor instead.
   TimeTravelReader reader("tt-reader", (*system)->warehouse().id(),
                           /*at=*/200000, /*as_of=*/1);
   (*system)->runtime().Register(&reader);
@@ -214,10 +211,16 @@ TEST(TimeTravelTest, HistoricalReadServesPastState) {
 
   ASSERT_NE(reader.answer, nullptr);
   EXPECT_EQ(reader.answer->as_of_commit, 1);
-  // The recorder's first commit snapshot is the ground truth.
-  const auto& commits = (*system)->recorder().commits();
-  ASSERT_GE(commits.size(), 2u);
-  const Catalog& expected = commits[0].view_snapshot;
+  // The oracle's replayed state after the first commit is the ground
+  // truth.
+  ASSERT_GE((*system)->recorder().commits().size(), 2u);
+  Catalog expected;
+  Status replayed = (*system)->MakeChecker().ReplayWarehouseStates(
+      (*system)->recorder(), [&](int64_t commits, const Catalog& views) {
+        if (commits == 1) expected = views.Clone();
+        return Status::OK();
+      }).status();
+  ASSERT_TRUE(replayed.ok()) << replayed;
   std::vector<std::string> names = expected.TableNames();
   std::vector<Table> tables = reader.answer->TakeTables();
   ASSERT_EQ(tables.size(), names.size());
@@ -229,7 +232,7 @@ TEST(TimeTravelTest, HistoricalReadServesPastState) {
 
 TEST(TimeTravelTest, CommitZeroIsTheInitialState) {
   SystemConfig config = Table1Scenario();
-  config.warehouse.history_depth = 4;
+  config.warehouse.max_retained_versions = 4;
   auto system = WarehouseSystem::Build(std::move(config));
   ASSERT_TRUE(system.ok());
   TimeTravelReader reader("tt-reader", (*system)->warehouse().id(),
@@ -266,22 +269,8 @@ TEST(TimeTravelTest, GcdVersionReadReturnsCleanError) {
   EXPECT_EQ(reader.answer->as_of_commit, 0);
   // No snapshot payload of any kind rides along with the error.
   EXPECT_FALSE(reader.answer->handle.valid());
-  EXPECT_TRUE(reader.answer->snapshots.empty());
+  EXPECT_TRUE(reader.answer->view_names.empty());
   EXPECT_TRUE(reader.answer->TakeTables().empty());
-}
-
-TEST(TimeTravelTest, LegacyOutOfWindowReadDies) {
-  // The deprecated clone-based history keeps the pre-MVCC contract: an
-  // out-of-window time travel is a programming error and crashes.
-  SystemConfig config = Example3Scenario();
-  config.warehouse.history_depth = 1;  // retain only the last state
-  config.warehouse.legacy_clone_history = true;
-  auto system = WarehouseSystem::Build(std::move(config));
-  ASSERT_TRUE(system.ok());
-  TimeTravelReader reader("tt-reader", (*system)->warehouse().id(),
-                          /*at=*/200000, /*as_of=*/0);
-  (*system)->runtime().Register(&reader);
-  EXPECT_DEATH((*system)->Run(), "outside the retained window");
 }
 
 TEST(TimeTravelTest, LiveHandlePinsAnEvictedVersion) {
@@ -377,39 +366,88 @@ TEST(ReaderInFlightTest, AnsweredRequestsRetireAndRecordLatency) {
 }
 
 TEST(GoldenTest, MvccObservationsMatchCloneHistoryOnExample3) {
-  // The deprecation contract for the clone path: on the same scenario,
-  // same seed, and same dense read schedule, the MVCC read path serves
-  // byte-identical observations (canonical ToString rendering) to the
-  // pre-MVCC clone implementation.
-  auto run = [](bool legacy) {
-    SystemConfig config = Example3Scenario();
-    config.warehouse.history_depth = 8;
-    config.warehouse.legacy_clone_history = legacy;
-    auto system = WarehouseSystem::Build(std::move(config));
-    MVC_CHECK(system.ok());
-    WarehouseReader* reader =
-        (*system)->AttachReader({"V1", "V2", "V3"}, DenseReadSchedule());
-    (*system)->Run();
-    std::vector<std::pair<int64_t, std::vector<std::string>>> rendered;
-    for (const auto& obs : reader->observations()) {
-      std::vector<std::string> tables;
-      for (const Table& t : obs.snapshots) tables.push_back(t.ToString());
-      rendered.emplace_back(obs.as_of_commit, std::move(tables));
-    }
-    return rendered;
-  };
-  auto legacy = run(true);
-  auto mvcc = run(false);
-  ASSERT_FALSE(legacy.empty());
-  ASSERT_EQ(legacy.size(), mvcc.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].first, mvcc[i].first) << "observation " << i;
-    ASSERT_EQ(legacy[i].second.size(), mvcc[i].second.size());
-    for (size_t v = 0; v < legacy[i].second.size(); ++v) {
-      EXPECT_EQ(legacy[i].second[v], mvcc[i].second[v])
+  // Every MVCC observation on a dense read schedule renders
+  // byte-identically (canonical ToString) to the oracle's flat replay of
+  // the committed action lists at the observation's as_of_commit.
+  SystemConfig config = Example3Scenario();
+  config.warehouse.max_retained_versions = 8;
+  auto system = WarehouseSystem::Build(std::move(config));
+  ASSERT_TRUE(system.ok());
+  WarehouseReader* reader =
+      (*system)->AttachReader({"V1", "V2", "V3"}, DenseReadSchedule());
+  (*system)->Run();
+
+  std::vector<std::vector<std::string>> rendered;
+  Status replayed = (*system)->MakeChecker().ReplayWarehouseStates(
+      (*system)->recorder(), [&](int64_t, const Catalog& views) {
+        std::vector<std::string> tables;
+        for (const char* name : {"V1", "V2", "V3"}) {
+          MVC_ASSIGN_OR_RETURN(const Table* t, views.GetTable(name));
+          tables.push_back(t->ToString());
+        }
+        rendered.push_back(std::move(tables));
+        return Status::OK();
+      }).status();
+  ASSERT_TRUE(replayed.ok()) << replayed;
+
+  ASSERT_FALSE(reader->observations().empty());
+  for (size_t i = 0; i < reader->observations().size(); ++i) {
+    const auto& obs = reader->observations()[i];
+    ASSERT_TRUE(obs.ok()) << obs.error;
+    ASSERT_GE(obs.as_of_commit, 0);
+    ASSERT_LT(static_cast<size_t>(obs.as_of_commit), rendered.size());
+    const std::vector<std::string>& want =
+        rendered[static_cast<size_t>(obs.as_of_commit)];
+    ASSERT_EQ(obs.snapshots.size(), want.size());
+    for (size_t v = 0; v < want.size(); ++v) {
+      EXPECT_EQ(obs.snapshots[v].ToString(), want[v])
           << "observation " << i << ", view " << v;
     }
   }
+}
+
+TEST(ReaderTest, UnknownViewReadGetsCleanError) {
+  // A read naming a ViewId the registry never minted, or a minted view
+  // the warehouse holds no table for, is answered with an error — not an
+  // abort on the warehouse actor.
+  SimRuntime runtime(1);
+  IdRegistry registry;
+  registry.InternViews({"V1", "Ghost"});
+  WarehouseProcess warehouse("warehouse");
+  warehouse.SetRegistry(&registry);
+  ASSERT_TRUE(warehouse.CreateView("V1", Schema::AllInt64({"A"})).ok());
+  const ProcessId wpid = runtime.Register(&warehouse);
+  WarehouseReader unminted("unminted", {0, 99}, {100});
+  WarehouseReader ghost("ghost", {1}, {100});
+  for (WarehouseReader* reader : {&unminted, &ghost}) {
+    runtime.Register(reader);
+    reader->SetWarehouse(wpid);
+  }
+  runtime.Run();
+  ASSERT_EQ(unminted.observations().size(), 1u);
+  EXPECT_EQ(unminted.observations()[0].error, "unknown view id 99");
+  EXPECT_TRUE(unminted.observations()[0].snapshots.empty());
+  ASSERT_EQ(ghost.observations().size(), 1u);
+  EXPECT_EQ(ghost.observations()[0].error,
+            "view 'Ghost' is not in the snapshot");
+}
+
+TEST(ReaderTest, UnknownViewQueryGetsCleanError) {
+  auto system = WarehouseSystem::Build(Table1Scenario());
+  ASSERT_TRUE(system.ok());
+  WarehouseReader reader("unminted", {99}, {100});
+  ReaderQueryOptions query;
+  query.enabled = true;
+  query.column = "A";
+  reader.SetQueryOptions(query, /*seed=*/1);
+  (*system)->runtime().Register(&reader);
+  reader.SetWarehouse((*system)->warehouse().id());
+  (*system)->Run();
+  ASSERT_EQ(reader.query_observations().size(), 1u);
+  const auto& obs = reader.query_observations()[0];
+  EXPECT_EQ(obs.error, "unknown view id 99");
+  EXPECT_EQ(obs.as_of_commit, -1);
+  EXPECT_TRUE(obs.rows.empty());
 }
 
 }  // namespace

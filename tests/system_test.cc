@@ -29,11 +29,11 @@ TEST(SystemTest, Table1ScenarioIsCompleteUnderSpa) {
   EXPECT_EQ(system->recorder().commits()[0].txn.views,
             (std::vector<ViewId>{*system->registry().FindView("V1"),
                                  *system->registry().FindView("V2")}));
-  EXPECT_EQ((*system->warehouse().views().GetTable("V1"))
-                ->CountOf(Tuple{1, 2, 3}),
+  EXPECT_EQ(system->warehouse().MaterializeView("V1")->CountOf(
+                Tuple{1, 2, 3}),
             1);
-  EXPECT_EQ((*system->warehouse().views().GetTable("V2"))
-                ->CountOf(Tuple{2, 3, 4}),
+  EXPECT_EQ(system->warehouse().MaterializeView("V2")->CountOf(
+                Tuple{2, 3, 4}),
             1);
 }
 

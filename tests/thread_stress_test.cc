@@ -10,14 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "consistency/checker.h"
 #include "net/protocol.h"
 #include "net/thread_runtime.h"
-#include "query/evaluator.h"
 #include "system/warehouse_system.h"
 #include "workload/generator.h"
 #include "workload/paper_examples.h"
@@ -312,14 +310,15 @@ TEST(ThreadStressTest, GroupCommitRacingReadersAndCompactorNeverTears) {
     EXPECT_TRUE(checker.CheckComplete(recorder).ok())
         << checker.CheckComplete(recorder);
 
-    // Oracle catalog at commit 0 (before any batch lands).
-    std::map<std::string, Table> initial;
-    TableProviderFn provider = CatalogProvider(&(*system)->initial_base());
-    for (const BoundView& view : (*system)->bound_views()) {
-      auto table = ViewEvaluator::Evaluate(view, provider);
-      ASSERT_TRUE(table.ok()) << table.status().ToString();
-      initial.emplace(view.name(), *std::move(table));
-    }
+    // Oracle state per commit count, replayed from the committed action
+    // lists (commit 0: before any batch lands).
+    std::vector<Catalog> states;
+    Status replayed = checker.ReplayWarehouseStates(
+        recorder, [&](int64_t, const Catalog& views) {
+          states.push_back(views.Clone());
+          return Status::OK();
+        }).status();
+    ASSERT_TRUE(replayed.ok()) << replayed;
 
     const size_t views = (*system)->bound_views().size();
     for (const WarehouseReader* reader : readers) {
@@ -331,19 +330,11 @@ TEST(ThreadStressTest, GroupCommitRacingReadersAndCompactorNeverTears) {
         ASSERT_LE(obs.as_of_commit,
                   static_cast<int64_t>(recorder.commits().size()));
         for (const Table& got : obs.snapshots) {
-          const Table* want = nullptr;
-          if (obs.as_of_commit == 0) {
-            auto it = initial.find(got.name());
-            ASSERT_NE(it, initial.end());
-            want = &it->second;
-          } else {
-            auto oracle =
-                recorder.commits()[static_cast<size_t>(obs.as_of_commit) - 1]
-                    .view_snapshot.GetTable(got.name());
-            ASSERT_TRUE(oracle.ok());
-            want = *oracle;
-          }
-          EXPECT_TRUE(got.ContentsEqual(*want))
+          auto want =
+              states[static_cast<size_t>(obs.as_of_commit)].GetTable(
+                  got.name());
+          ASSERT_TRUE(want.ok());
+          EXPECT_TRUE(got.ContentsEqual(**want))
               << "seed " << seed << ": view " << got.name()
               << " torn at commit " << obs.as_of_commit;
         }

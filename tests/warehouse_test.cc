@@ -80,8 +80,8 @@ TEST_F(WarehouseTest, AppliesAllActionListsAtomically) {
   submitter_->to_send = {txn};
   runtime_.Run();
 
-  EXPECT_EQ((*warehouse_->views().GetTable("V1"))->CountOf(Tuple{1}), 1);
-  EXPECT_EQ((*warehouse_->views().GetTable("V2"))->CountOf(Tuple{2}), 1);
+  EXPECT_EQ(warehouse_->MaterializeView("V1")->CountOf(Tuple{1}), 1);
+  EXPECT_EQ(warehouse_->MaterializeView("V2")->CountOf(Tuple{2}), 1);
   EXPECT_EQ(warehouse_->transactions_committed(), 1);
   EXPECT_EQ(warehouse_->actions_applied(), 2);
   EXPECT_EQ(submitter_->acks, (std::vector<int64_t>{1}));
@@ -100,7 +100,8 @@ TEST_F(WarehouseTest, ReplaceAllClearsThenInstalls) {
   submitter_->to_send = {seed, replace};
   runtime_.Run();
 
-  const Table* v1 = *warehouse_->views().GetTable("V1");
+  Result<Table> v1 = warehouse_->MaterializeView("V1");
+  ASSERT_TRUE(v1.ok()) << v1.status();
   EXPECT_EQ(v1->CountOf(Tuple{1}), 0);
   EXPECT_EQ(v1->CountOf(Tuple{9}), 1);
 }
@@ -110,17 +111,19 @@ TEST_F(WarehouseTest, InitializeViewInstallsContents) {
   Table initial("x", Schema::AllInt64({"A"}));
   ASSERT_TRUE(initial.Insert(Tuple{5}, 3).ok());
   ASSERT_TRUE(warehouse_->InitializeView("V1", initial).ok());
-  EXPECT_EQ((*warehouse_->views().GetTable("V1"))->CountOf(Tuple{5}), 3);
+  runtime_.Run();  // publishes the initialized state as commit 0
+  EXPECT_EQ(warehouse_->MaterializeView("V1")->CountOf(Tuple{5}), 3);
 }
 
 TEST_F(WarehouseTest, CommitObserverSeesSnapshots) {
   Wire({});
   std::vector<int64_t> seen;
-  warehouse_->SetCommitObserver([&](ProcessId, const WarehouseTransaction& t,
-                                    const Catalog& views, TimeMicros) {
-    seen.push_back(t.txn_id);
-    EXPECT_TRUE(views.HasTable("V1"));
-  });
+  warehouse_->SetCommitObserver(
+      [&](ProcessId, const WarehouseTransaction& t, TimeMicros) {
+        seen.push_back(t.txn_id);
+        EXPECT_EQ(warehouse_->transactions_committed(),
+                  static_cast<int64_t>(seen.size()));
+      });
   WarehouseTransaction txn;
   txn.txn_id = 7;
   txn.actions = {Al(kV1, Tuple{1}, 1)};
@@ -222,7 +225,7 @@ TEST_F(WarehouseTest, DependentDeleteAfterInsertNeedsOrdering) {
   t2.actions = {Al(kV1, Tuple{1}, -1)};
   submitter.to_send = {t1, t2};
   runtime.Run();
-  EXPECT_TRUE((*warehouse.views().GetTable("V1"))->empty());
+  EXPECT_TRUE(warehouse.MaterializeView("V1")->empty());
 }
 
 }  // namespace
@@ -244,20 +247,8 @@ TEST(WarehouseSetupTest, InitializeUnknownViewFails) {
   EXPECT_TRUE(warehouse.InitializeView("nope", t).IsNotFound());
 }
 
-TEST(WarehouseSetupTest, EffectiveRetentionTakesTheLargerKnob) {
-  WarehouseOptions options;
-  EXPECT_EQ(options.EffectiveRetention(), 0u);
-  options.history_depth = 8;
-  EXPECT_EQ(options.EffectiveRetention(), 8u);
-  options.max_retained_versions = 3;
-  EXPECT_EQ(options.EffectiveRetention(), 8u)
-      << "clone-era configs keep their time-travel window";
-  options.max_retained_versions = 12;
-  EXPECT_EQ(options.EffectiveRetention(), 12u);
-}
-
 TEST(WarehouseSetupTest, HistoryDisabledByDefault) {
-  // With history_depth = 0 nothing is retained; a normal current-state
+  // With max_retained_versions = 0 nothing is retained; a current-state
   // read still works.
   SimRuntime runtime(1);
   WarehouseProcess warehouse("warehouse");
@@ -316,17 +307,27 @@ void RunSnapshotIsolationRound(Runtime* runtime, uint64_t seed) {
   ASSERT_TRUE(warehouse.CreateView("V1", schema).ok());
   ASSERT_TRUE(warehouse.CreateView("V2", schema).ok());
 
-  // Ground truth per commit count, recorded on the warehouse actor by
-  // the commit observer. Commit 0 is the initial (empty) state.
+  // Ground truth per commit count: flat tables kept by the test itself,
+  // updated from each observed transaction's action lists on the
+  // warehouse actor by the commit observer. Commit 0 is the initial
+  // (empty) state.
+  std::map<ViewId, Table> truth_tables;
+  truth_tables.emplace(kV1, Table("V1", schema));
+  truth_tables.emplace(kV2, Table("V2", schema));
   std::map<int64_t, std::pair<std::string, std::string>> expected;
-  expected[0] = {Table("V1", schema).ToString(),
-                 Table("V2", schema).ToString()};
-  warehouse.SetCommitObserver([&](ProcessId, const WarehouseTransaction&,
-                                  const Catalog& views, TimeMicros) {
-    expected[warehouse.transactions_committed()] = {
-        (*views.GetTable("V1"))->ToString(),
-        (*views.GetTable("V2"))->ToString()};
-  });
+  expected[0] = {truth_tables.at(kV1).ToString(),
+                 truth_tables.at(kV2).ToString()};
+  warehouse.SetCommitObserver(
+      [&](ProcessId, const WarehouseTransaction& txn, TimeMicros) {
+        for (const ActionList& al : txn.actions) {
+          Table& table = truth_tables.at(al.view);
+          if (al.replace_all) table.Clear();
+          EXPECT_TRUE(al.delta.ApplyTo(&table).ok());
+        }
+        expected[warehouse.transactions_committed()] = {
+            truth_tables.at(kV1).ToString(),
+            truth_tables.at(kV2).ToString()};
+      });
 
   ProcessId wpid = runtime->Register(&warehouse);
   Submitter submitter("merge", wpid);

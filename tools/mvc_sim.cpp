@@ -467,10 +467,10 @@ int Run(const Flags& flags) {
 
   if (flags.show_views) {
     std::cout << "\nFinal warehouse contents:\n";
-    for (const std::string& name :
-         (*system)->warehouse().views().TableNames()) {
-      std::cout << (*system)->warehouse().views().GetTable(name).value()
-                       ->ToString();
+    const SnapshotHandle latest =
+        (*system)->warehouse().store().AcquireSnapshot();
+    for (const TableVersion& view : latest.version().tables) {
+      std::cout << view.Materialize().ToString();
     }
   }
 

@@ -2,6 +2,8 @@
 
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -43,6 +45,9 @@ struct Message {
     kQueryView = 25,          // reader -> warehouse
     kQueryResult = 26         // warehouse -> reader
   };
+  /// Number of kinds: the last enumerator plus one.
+  static constexpr size_t kNumKinds =
+      static_cast<size_t>(Kind::kQueryResult) + 1;
 
   explicit Message(Kind k) : kind(k) {}
   virtual ~Message() = default;

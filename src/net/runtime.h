@@ -15,6 +15,8 @@
 
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -164,15 +166,28 @@ class Runtime {
   /// Runs until quiescence: all channels empty and no timers pending.
   virtual void Run() = 0;
 
-  const MessageStats& stats() const { return stats_; }
+  /// Messages sent so far, by kind (kinds never sent are absent).
+  MessageStats stats() const {
+    MessageStats stats;
+    for (size_t k = 0; k < Message::kNumKinds; ++k) {
+      const int64_t n = sent_by_kind_[k].load(std::memory_order_relaxed);
+      if (n == 0) continue;
+      stats.total_messages += n;
+      stats.by_kind[MessageKindToString(static_cast<Message::Kind>(k))] = n;
+    }
+    return stats;
+  }
 
  protected:
+  /// Safe to call from any thread: one relaxed increment per message.
   void CountMessage(const Message& msg) {
-    ++stats_.total_messages;
-    ++stats_.by_kind[MessageKindToString(msg.kind)];
+    sent_by_kind_[static_cast<size_t>(msg.kind)].fetch_add(
+        1, std::memory_order_relaxed);
   }
   std::vector<Process*> processes_;
-  MessageStats stats_;
+
+ private:
+  std::array<std::atomic<int64_t>, Message::kNumKinds> sent_by_kind_{};
 };
 
 inline void Process::Send(ProcessId to, MessagePtr msg) {

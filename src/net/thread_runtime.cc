@@ -1,5 +1,6 @@
 #include "net/thread_runtime.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace mvc {
@@ -22,35 +23,49 @@ TimeMicros ThreadRuntime::Now() const {
 
 TimeMicros ThreadRuntime::DrawLatency(ProcessId from, ProcessId to) {
   if (from == to) return 0;
+  if (default_latency_.jitter <= 0) return default_latency_.fixed;
   std::lock_guard<std::mutex> lock(rng_mu_);
-  TimeMicros latency = default_latency_.fixed;
-  if (default_latency_.jitter > 0) {
-    latency += rng_.UniformInt(0, default_latency_.jitter);
-  }
-  return latency;
+  return default_latency_.fixed + rng_.UniformInt(0, default_latency_.jitter);
 }
 
 void ThreadRuntime::Send(ProcessId from, ProcessId to, MessagePtr msg,
                          TimeMicros send_delay) {
   MVC_CHECK(to >= 0 && static_cast<size_t>(to) < processes_.size());
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    ++in_flight_;
+  MVC_CHECK(pending_ != nullptr) << "ThreadRuntime::Send before Run()";
+  CountMessage(*msg);
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  const TimeMicros delay = send_delay + DrawLatency(from, to);
+  std::atomic<int32_t>& pending = pending_[ChannelIndex(from, to)];
+  if (delay <= 0 && pending.load(std::memory_order_acquire) == 0) {
+    // Every earlier message on this channel is already in the mailbox,
+    // so pushing now keeps issue order.
+    PushToMailbox(from, to, msg.release());
+    return;
   }
-  TimeMicros deadline = Now() + send_delay + DrawLatency(from, to);
+  TimeMicros deadline = (starting_ ? run_start_ : Now()) + delay;
   {
     std::lock_guard<std::mutex> lock(dispatch_mu_);
-    CountMessage(*msg);
     if (from != to) {
       // FIFO per network channel; self messages are timers (see
       // SimRuntime::Send).
-      TimeMicros& last = channel_last_[ChannelKey(from, to)];
+      TimeMicros& last = channel_last_[ChannelIndex(from, to)];
       deadline = std::max(deadline, last + 1);
       last = deadline;
     }
+    pending.fetch_add(1, std::memory_order_relaxed);
     delay_heap_.push(Pending{deadline, next_seq_++, from, to, msg.release()});
   }
   dispatch_cv_.notify_one();
+}
+
+void ThreadRuntime::PushToMailbox(ProcessId from, ProcessId to,
+                                  Message* msg) {
+  Mailbox& box = *mailboxes_[to];
+  {
+    std::lock_guard<std::mutex> lock(box.mu);
+    box.queue.emplace_back(from, msg);
+  }
+  box.cv.notify_one();
 }
 
 void ThreadRuntime::DispatcherLoop() {
@@ -70,12 +85,9 @@ void ThreadRuntime::DispatcherLoop() {
     Pending p = delay_heap_.top();
     delay_heap_.pop();
     lock.unlock();
-    Mailbox& box = *mailboxes_[p.to];
-    {
-      std::lock_guard<std::mutex> box_lock(box.mu);
-      box.queue.emplace_back(p.from, p.msg);
-    }
-    box.cv.notify_one();
+    PushToMailbox(p.from, p.to, p.msg);
+    pending_[ChannelIndex(p.from, p.to)].fetch_sub(1,
+                                                   std::memory_order_release);
     lock.lock();
   }
 }
@@ -97,18 +109,30 @@ void ThreadRuntime::WorkerLoop(ProcessId id) {
 }
 
 void ThreadRuntime::OnHandled() {
-  std::lock_guard<std::mutex> lock(idle_mu_);
-  --in_flight_;
-  if (in_flight_ == 0) idle_cv_.notify_all();
+  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // Under the lock, so Run() cannot miss it between its check and its
+    // wait.
+    std::lock_guard<std::mutex> lock(idle_mu_);
+    idle_cv_.notify_all();
+  }
 }
 
 void ThreadRuntime::Run() {
   running_ = true;
+  const size_t n = processes_.size();
   mailboxes_.clear();
-  for (size_t i = 0; i < processes_.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
   }
+  pending_ = std::make_unique<std::atomic<int32_t>[]>(n * n);
+  channel_last_.assign(n * n, 0);
+
+  // The start instant is read before the first OnStart, so no deadline
+  // precedes a stamp the caller took before calling Run().
+  run_start_ = Now();
+  starting_ = true;
   for (Process* p : processes_) p->OnStart();
+  starting_ = false;
 
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
   for (size_t i = 0; i < processes_.size(); ++i) {
@@ -119,7 +143,9 @@ void ThreadRuntime::Run() {
   // Quiescence: every sent message has been fully handled.
   {
     std::unique_lock<std::mutex> lock(idle_mu_);
-    idle_cv_.wait(lock, [&] { return in_flight_ == 0; });
+    idle_cv_.wait(lock, [&] {
+      return in_flight_.load(std::memory_order_acquire) == 0;
+    });
   }
 
   // Tear down.

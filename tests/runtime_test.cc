@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <mutex>
 
 #include "net/protocol.h"
@@ -61,6 +63,156 @@ class Sender : public Process {
   int count_;
   TimeMicros gap_;
 };
+
+/// At OnStart, sends tick 0 after `delay`, then tick 1 with no delay, on
+/// the same channel.
+class DelayedThenImmediate : public Process {
+ public:
+  DelayedThenImmediate(std::string name, ProcessId target, TimeMicros delay)
+      : Process(std::move(name)), target_(target), delay_(delay) {}
+
+  void OnStart() override {
+    auto first = std::make_unique<TickMsg>();
+    first->tag = 0;
+    SendAfter(target_, std::move(first), delay_);
+    auto second = std::make_unique<TickMsg>();
+    second->tag = 1;
+    Send(target_, std::move(second));
+  }
+  void OnMessage(ProcessId, MessagePtr) override {}
+
+ private:
+  ProcessId target_;
+  TimeMicros delay_;
+};
+
+/// The delayed send is issued first, so it must arrive first: a
+/// zero-delay send may not overtake it on its channel.
+void ExpectDelayedSendStaysAhead(Runtime& runtime) {
+  Recorder recorder("recorder");
+  ProcessId rid = runtime.Register(&recorder);
+  DelayedThenImmediate sender("sender", rid, 2000);
+  runtime.Register(&sender);
+  runtime.Run();
+  auto log = recorder.log();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].second, 0) << "zero-delay send overtook a delayed one";
+  EXPECT_EQ(log[1].second, 1);
+}
+
+/// Sends one tick after `delay` at OnStart, then spins for `spin` of
+/// wall time before returning, so OnStart hooks after it run late.
+class SlowStarter : public Process {
+ public:
+  SlowStarter(std::string name, ProcessId target, int64_t tag,
+              TimeMicros delay, std::chrono::microseconds spin)
+      : Process(std::move(name)),
+        target_(target),
+        tag_(tag),
+        delay_(delay),
+        spin_(spin) {}
+
+  void OnStart() override {
+    auto tick = std::make_unique<TickMsg>();
+    tick->tag = tag_;
+    SendAfter(target_, std::move(tick), delay_);
+    const auto until = std::chrono::steady_clock::now() + spin_;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+  void OnMessage(ProcessId, MessagePtr) override {}
+
+ private:
+  ProcessId target_;
+  int64_t tag_;
+  TimeMicros delay_;
+  std::chrono::microseconds spin_;
+};
+
+/// Two OnStart sends, the first one slow to return: both deadlines are
+/// taken from one start instant, so the shorter delay arrives first and
+/// nothing arrives before the instant the caller stamped plus its delay.
+void ExpectOneStartInstant(Runtime& runtime) {
+  Recorder recorder("recorder");
+  ProcessId rid = runtime.Register(&recorder);
+  SlowStarter p("p", rid, /*tag=*/3000, /*delay=*/3000,
+                std::chrono::microseconds(5000));
+  SlowStarter q("q", rid, /*tag=*/1000, /*delay=*/1000,
+                std::chrono::microseconds(0));
+  runtime.Register(&p);
+  runtime.Register(&q);
+  const TimeMicros stamp = runtime.Now();
+  runtime.Run();
+  auto log = recorder.log();
+  auto times = recorder.times();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].second, 1000) << "later OnStart hook ran on a later clock";
+  EXPECT_EQ(log[1].second, 3000);
+  for (size_t i = 0; i < log.size(); ++i) {
+    // Each tag is its delay.
+    EXPECT_GE(times[i], stamp + log[i].second) << "tick " << log[i].second;
+  }
+}
+
+/// Sends `rounds` bursts of `burst` ticks to a target, one burst per
+/// self-timer. Every third tick is delayed by up to `max_delay`; the
+/// rest go out with no delay. Tags count up per sender.
+class MixedSender : public Process {
+ public:
+  MixedSender(std::string name, ProcessId target, int rounds, int burst,
+              TimeMicros max_delay)
+      : Process(std::move(name)),
+        target_(target),
+        rounds_(rounds),
+        burst_(burst),
+        max_delay_(max_delay) {}
+
+  void OnStart() override { ScheduleSelf(std::make_unique<TickMsg>(), 0); }
+
+  void OnMessage(ProcessId, MessagePtr) override {
+    for (int i = 0; i < burst_; ++i) {
+      auto tick = std::make_unique<TickMsg>();
+      tick->tag = next_tag_++;
+      const TimeMicros delay =
+          tick->tag % 3 == 0 ? (tick->tag * 37) % (max_delay_ + 1) : 0;
+      SendAfter(target_, std::move(tick), delay);
+    }
+    if (++round_ < rounds_) ScheduleSelf(std::make_unique<TickMsg>(), 0);
+  }
+
+ private:
+  ProcessId target_;
+  int rounds_;
+  int burst_;
+  TimeMicros max_delay_;
+  int round_ = 0;
+  int64_t next_tag_ = 0;
+};
+
+/// Several senders interleave zero-delay and delayed sends to one
+/// recorder; every channel must deliver in issue order.
+void ExpectFifoUnderMixedLoad(LatencyModel latency) {
+  constexpr int kSenders = 4;
+  constexpr int kRounds = 10;
+  constexpr int kBurst = 50;
+  ThreadRuntime runtime(11, latency);
+  Recorder recorder("recorder");
+  ProcessId rid = runtime.Register(&recorder);
+  std::vector<std::unique_ptr<MixedSender>> senders;
+  for (int s = 0; s < kSenders; ++s) {
+    senders.push_back(
+        std::make_unique<MixedSender>("sender", rid, kRounds, kBurst, 200));
+    runtime.Register(senders.back().get());
+  }
+  runtime.Run();
+  auto log = recorder.log();
+  ASSERT_EQ(log.size(), static_cast<size_t>(kSenders * kRounds * kBurst));
+  std::map<ProcessId, int64_t> next;
+  for (const auto& [from, tag] : log) {
+    ASSERT_EQ(tag, next[from]) << "channel from " << from << " reordered";
+    ++next[from];
+  }
+}
 
 TEST(SimRuntimeTest, DeliversInTimeOrder) {
   SimRuntime runtime(1);
@@ -179,6 +331,16 @@ TEST(SimRuntimeTest, CountsMessagesByKind) {
   EXPECT_EQ(runtime.stats().by_kind.at("Tick"), 4);
 }
 
+TEST(SimRuntimeTest, DelayedSendStaysAheadOnItsChannel) {
+  SimRuntime runtime(1);
+  ExpectDelayedSendStaysAhead(runtime);
+}
+
+TEST(SimRuntimeTest, OnStartSendsShareOneStartInstant) {
+  SimRuntime runtime(1);
+  ExpectOneStartInstant(runtime);
+}
+
 TEST(ThreadRuntimeTest, DeliversEverythingAndQuiesces) {
   ThreadRuntime runtime(1);
   Recorder recorder("recorder");
@@ -231,6 +393,37 @@ TEST(ThreadRuntimeTest, ChainedForwardingQuiesces) {
   EXPECT_EQ(a.received.load(), 10);
   EXPECT_EQ(b.received.load(), 10);
   EXPECT_EQ(c.received.load(), 10);
+}
+
+TEST(ThreadRuntimeTest, DelayedSendStaysAheadOnItsChannel) {
+  ThreadRuntime runtime(1);
+  ExpectDelayedSendStaysAhead(runtime);
+}
+
+TEST(ThreadRuntimeTest, OnStartSendsShareOneStartInstant) {
+  ThreadRuntime runtime(1);
+  ExpectOneStartInstant(runtime);
+}
+
+TEST(ThreadRuntimeTest, FifoPerChannelUnderMixedDelays) {
+  ExpectFifoUnderMixedLoad(LatencyModel::Zero());
+}
+
+TEST(ThreadRuntimeTest, FifoPerChannelUnderMixedDelaysAndJitter) {
+  // Latency draws of 0 take the direct path, the rest the delay heap, so
+  // the two paths race on every channel.
+  ExpectFifoUnderMixedLoad(LatencyModel::Uniform(0, 3));
+}
+
+TEST(ThreadRuntimeTest, CountsMessagesByKind) {
+  ThreadRuntime runtime(1);
+  Recorder recorder("recorder");
+  ProcessId rid = runtime.Register(&recorder);
+  Sender sender("sender", rid, 4, 0);
+  runtime.Register(&sender);
+  runtime.Run();
+  EXPECT_EQ(runtime.stats().total_messages, 4);
+  EXPECT_EQ(runtime.stats().by_kind.at("Tick"), 4);
 }
 
 }  // namespace
